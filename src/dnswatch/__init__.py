@@ -31,7 +31,6 @@ from .ingest import (
     DnsEventRecord,
     GroundTruthInterval,
     ParseError,
-    aggregate,
     aggregate_all,
     parse_events,
     parse_ground_truth,
@@ -46,16 +45,8 @@ from .matching import (
     search,
     total_error,
 )
-from .model import (
-    FeatureKind,
-    MinuteSeries,
-    SeriesKey,
-    SeriesStats,
-    WindowSlice,
-    running_stats,
-    slice_series,
-)
+from .model import FeatureKind, MinuteSeries, SeriesKey
 from .predictor import COLD_START, Prediction, cold_start_decision, predict
-from .synth import AttackSpec, SynthProfile, generate, iter_events, truth_intervals
+from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 __version__ = "0.1.0"

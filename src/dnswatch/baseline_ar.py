@@ -121,7 +121,7 @@ def _choose_max_lag(n: int) -> int:
     return lag
 
 
-def _ar_predictor(values: list[float], cfg: DetectorConfig):
+def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
     arr = np.asarray(values, dtype=float)
 
     def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
@@ -140,5 +140,4 @@ def detect_series_ar(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFl
     """Same windows, thresholds and decision as the matching detector, with
     the prediction produced by an AIC-selected autoregression over the
     lookback history."""
-    values = [float(v) for v in series.values]
-    return _detect_loop(series, cfg, _ar_predictor(values, cfg))
+    return _detect_loop(series, cfg, _ar_predictor(series.values, cfg))

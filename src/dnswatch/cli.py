@@ -12,10 +12,12 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
 from .coldstart import ColdStartParams, expected_matches
@@ -29,7 +31,7 @@ from .ingest import (
     write_events,
     write_ground_truth,
 )
-from .model import MinuteSeries, SeriesKey
+from .model import FeatureKind, MinuteSeries, SeriesKey
 from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
@@ -52,12 +54,6 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--score-threshold", type=int, default=4, help="feature score must exceed this")
     p.add_argument("--stride", type=int, default=None, help="minutes between evaluations (default: h)")
     p.add_argument("--cold-start-factor", type=float, default=10.0, help="order-of-magnitude factor")
-    p.add_argument(
-        "--restart-multiple",
-        type=float,
-        default=2.0,
-        help="growth bound for incremental matching state",
-    )
 
 
 def _config_from_args(args: argparse.Namespace, lookback: Optional[int] = None) -> DetectorConfig:
@@ -70,7 +66,6 @@ def _config_from_args(args: argparse.Namespace, lookback: Optional[int] = None) 
         score_threshold=args.score_threshold,
         stride=args.stride,
         cold_start_factor=args.cold_start_factor,
-        restart_multiple=args.restart_multiple,
     )
 
 
@@ -115,12 +110,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _series_filename(key: SeriesKey) -> str:
-    return key.label().replace(":", "_") + ".csv"
+    # The IP is percent-encoded so IPv6 colons survive; IPv4 bytes are unchanged.
+    if key.ip is None:
+        return f"{key.feature.value}.csv"
+    return f"{key.feature.value}_{quote(key.ip, safe='')}.csv"
 
 
 def _key_from_filename(name: str) -> SeriesKey:
     stem = name[:-4] if name.endswith(".csv") else name
-    return SeriesKey.from_label(stem.replace("_", ":", 1))
+    feature, sep, ip = stem.partition("_")
+    return SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -207,25 +206,20 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _load_report(path: str) -> list[AnomalyEvent]:
-    from .model import FeatureKind
-
     with open(path) as fh:
         raw = json.load(fh)
-    by_value = {k.value: k for k in FeatureKind}
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: report must be a JSON list of events")
     events = []
-    for item in raw:
-        feats = frozenset(by_value[v] for v in item["features"])
-        events.append(
-            AnomalyEvent(
-                key=item["key"],
-                start_minute=item["start_minute"],
-                end_minute=item["end_minute"],
-                mse=item["mse"],
-                cosine=item["cosine"],
-                features=feats,
-                score=item["score"],
-            )
-        )
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ParseError(f"{path}: report item {i} is not an object: {item!r}")
+        try:
+            fields = {f.name: item[f.name] for f in dataclasses.fields(AnomalyEvent)}
+        except KeyError as exc:
+            raise ParseError(f"{path}: report item {i} lacks key {exc.args[0]!r}") from None
+        fields["features"] = frozenset(FeatureKind(v) for v in fields["features"])
+        events.append(AnomalyEvent(**fields))
     return events
 
 

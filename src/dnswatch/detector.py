@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .matching import Tolerance, search
-from .model import FeatureKind, MinuteSeries, SeriesKey, SeriesStats
+from .model import FeatureKind, MinuteSeries, SeriesKey
 from .predictor import cold_start_decision, predict
 
 
@@ -43,7 +43,6 @@ class DetectorConfig:
     score_threshold: int = 4
     stride: Optional[int] = None
     cold_start_factor: float = 10.0
-    restart_multiple: float = 2.0
 
     def __post_init__(self) -> None:
         if self.h is None:
@@ -62,8 +61,6 @@ class DetectorConfig:
             raise ValueError("cos_threshold must lie in (0, 1]")
         if self.cold_start_factor <= 0:
             raise ValueError("cold_start_factor must be positive")
-        if self.restart_multiple < 1.0:
-            raise ValueError("restart_multiple must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -109,23 +106,21 @@ def cosine(pred: Sequence[float], observed: Sequence[float]) -> float:
     return dot / math.sqrt(pp * ee)
 
 
-def compute_thresholds(
-    stats: SeriesStats, pattern: Sequence[float], epsilon: float, floor: float = 1.0
-) -> ThresholdSet:
+def compute_thresholds(maxvalue: float, pattern: Sequence[float], epsilon: float) -> ThresholdSet:
     """Error threshold from the running maximum, search tolerances from it.
 
     error_threshold = (log base (10 - epsilon) of maxvalue) squared, clamped
-    below at ``floor`` while the maximum has not exceeded the base;
+    below at 1 while the maximum has not exceeded the base;
     alpha = error_threshold * (1 + epsilon) * mean(pattern) / len(pattern);
     beta  = error_threshold * mean(pattern).
     """
     if len(pattern) == 0:
         raise ValueError("pattern must be non-empty")
     base = 10.0 - epsilon
-    if stats.maxvalue <= base:
-        err = floor
+    if maxvalue <= base:
+        err = 1.0
     else:
-        err = (math.log(stats.maxvalue) / math.log(base)) ** 2
+        err = (math.log(maxvalue) / math.log(base)) ** 2
     mean_p = sum(pattern) / len(pattern)
     return ThresholdSet(
         error_threshold=err,
@@ -153,7 +148,7 @@ class WindowFlag:
 WindowPredictor = Callable[[int, int, ThresholdSet], Optional[Sequence[float]]]
 
 
-def _asm_predictor(values: list[float], cfg: DetectorConfig) -> WindowPredictor:
+def _asm_predictor(values: Sequence[float], cfg: DetectorConfig) -> WindowPredictor:
     def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
         history = values[lo:t]
         pattern = values[t - cfg.k : t]
@@ -167,7 +162,7 @@ def _asm_predictor(values: list[float], cfg: DetectorConfig) -> WindowPredictor:
 def _detect_loop(
     series: MinuteSeries, cfg: DetectorConfig, predictor: WindowPredictor
 ) -> list[WindowFlag]:
-    values = [float(v) for v in series.values]
+    values = series.values
     n = len(values)
     minimum = cfg.k + cfg.h + 1
     if n < minimum:
@@ -182,7 +177,7 @@ def _detect_loop(
             scanned += 1
         pattern = values[t - cfg.k : t]
         observed = values[t : t + cfg.h]
-        thr = compute_thresholds(SeriesStats(maxvalue, t), pattern, cfg.epsilon)
+        thr = compute_thresholds(maxvalue, pattern, cfg.epsilon)
         minute = series.start_minute + t
         predicted = predictor(max(0, t - cfg.lookback), t, thr)
         if predicted is None:
@@ -204,8 +199,7 @@ def _detect_loop(
 
 def detect_series(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]:
     """Run match-predict-compare over every evaluation window of a series."""
-    values = [float(v) for v in series.values]
-    return _detect_loop(series, cfg, _asm_predictor(values, cfg))
+    return _detect_loop(series, cfg, _asm_predictor(series.values, cfg))
 
 
 @dataclass(frozen=True)

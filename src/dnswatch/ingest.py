@@ -112,24 +112,15 @@ def _zero_filled(counts: dict[int, int], lo: int, hi: int) -> tuple[float, ...]:
     return tuple(float(counts.get(m, 0)) for m in range(lo, hi + 1))
 
 
-def aggregate_all(
-    records: Iterable[DnsEventRecord],
-    *,
-    malformed_key: str = "dst_ip",
-    transmit_key: str = "src_ip",
-) -> dict[SeriesKey, MinuteSeries]:
+def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSeries]:
     """Aggregate one pass of records into all three feature families.
 
     Feature A counts every record per minute globally; feature B counts
-    received malformed records per minute keyed by ``malformed_key`` (the
-    receiver by default); feature C counts transmitted records per minute
-    keyed by ``transmit_key`` (the sender by default).  Every produced series
-    is zero-filled over the minute span of the whole record set.
+    received malformed records per minute keyed by the receiver; feature C
+    counts transmitted records per minute keyed by the sender.  Every
+    produced series is zero-filled over the minute span of the whole record
+    set.
     """
-    if malformed_key not in ("src_ip", "dst_ip") or transmit_key not in ("src_ip", "dst_ip"):
-        raise ValueError("keying fields must be src_ip or dst_ip")
-    b_from_dst = malformed_key == "dst_ip"
-    c_from_src = transmit_key == "src_ip"
     total: dict[int, int] = {}
     malformed_rx: dict[str, dict[int, int]] = {}
     transmitted: dict[str, dict[int, int]] = {}
@@ -142,10 +133,10 @@ def aggregate_all(
             hi = minute
         total[minute] = total.get(minute, 0) + 1
         if rec.direction == "rx" and rec.malformed:
-            per = malformed_rx.setdefault(rec.dst_ip if b_from_dst else rec.src_ip, {})
+            per = malformed_rx.setdefault(rec.dst_ip, {})
             per[minute] = per.get(minute, 0) + 1
         if rec.direction == "tx":
-            per = transmitted.setdefault(rec.src_ip if c_from_src else rec.dst_ip, {})
+            per = transmitted.setdefault(rec.src_ip, {})
             per[minute] = per.get(minute, 0) + 1
     if lo is None:
         return {}
@@ -159,11 +150,3 @@ def aggregate_all(
         key = SeriesKey(FeatureKind.C_TRANSMITTED, ip)
         out[key] = MinuteSeries(key, lo, _zero_filled(transmitted[ip], lo, hi))
     return out
-
-
-def aggregate(
-    records: Iterable[DnsEventRecord], feature: FeatureKind
-) -> dict[SeriesKey, MinuteSeries]:
-    """Aggregate a single feature family; see :func:`aggregate_all`."""
-    full = aggregate_all(records)
-    return {key: series for key, series in full.items() if key.feature is feature}

@@ -9,6 +9,7 @@ safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -36,8 +37,6 @@ _FEATURE_SCORES = {
     FeatureKind.C_TRANSMITTED: 4,
 }
 
-_BY_VALUE = {kind.value: kind for kind in FeatureKind}
-
 
 @dataclass(frozen=True)
 class SeriesKey:
@@ -60,9 +59,11 @@ class SeriesKey:
     @classmethod
     def from_label(cls, label: str) -> "SeriesKey":
         name, sep, ip = label.partition(":")
-        if name not in _BY_VALUE:
-            raise ValueError(f"unknown feature in series label {label!r}")
-        return cls(_BY_VALUE[name], ip if sep else None)
+        try:
+            feature = FeatureKind(name)
+        except ValueError:
+            raise ValueError(f"unknown feature in series label {label!r}") from None
+        return cls(feature, ip if sep else None)
 
     def __lt__(self, other: "SeriesKey") -> bool:
         return self.label() < other.label()
@@ -83,8 +84,8 @@ class MinuteSeries:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if any(v < 0 for v in vals):
-            raise ValueError("minute counts must be non-negative")
+        if not all(0.0 <= v < math.inf for v in vals):  # also false for nan
+            raise ValueError("minute counts must be finite and non-negative")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -92,50 +93,3 @@ class MinuteSeries:
 
     def minute_of(self, index: int) -> int:
         return self.start_minute + index
-
-
-@dataclass(frozen=True)
-class WindowSlice:
-    """A view over a contiguous run of minutes inside a parent series."""
-
-    parent: MinuteSeries
-    offset: int
-    length: int
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self.parent.values[self.offset : self.offset + self.length]
-
-    @property
-    def start_minute(self) -> int:
-        return self.parent.start_minute + self.offset
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def slice_series(series: MinuteSeries, offset: int, length: int) -> WindowSlice:
-    """Window over ``values[offset:offset+length]``; bounds are checked."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if offset < 0 or offset + length > len(series.values):
-        raise IndexError(
-            f"window [{offset}, {offset + length}) outside series of {len(series.values)} minutes"
-        )
-    return WindowSlice(series, offset, length)
-
-
-@dataclass(frozen=True)
-class SeriesStats:
-    """Running statistics over the prefix of a series consumed so far."""
-
-    maxvalue: float
-    count: int
-
-
-def running_stats(series: MinuteSeries, upto: int) -> SeriesStats:
-    """Stats over ``values[:upto]``; the maximum of an empty prefix is 0."""
-    if upto < 0 or upto > len(series.values):
-        raise IndexError(f"prefix end {upto} outside series of {len(series.values)} minutes")
-    prefix = series.values[:upto]
-    return SeriesStats(maxvalue=max(prefix) if prefix else 0.0, count=upto)

@@ -16,7 +16,7 @@ byte-identical event streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class SynthProfile:
         return self.days * 1440
 
 
-class SynthResult(NamedTuple):
-    events: list[DnsEventRecord]
-    truth: list[GroundTruthInterval]
-
-
 def truth_intervals(profile: SynthProfile) -> list[GroundTruthInterval]:
     return [
         GroundTruthInterval(a.start_minute, a.start_minute + a.duration_minutes - 1, "attack")
@@ -146,8 +141,3 @@ def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
                 server = SERVER_IPS[idx % len(SERVER_IPS)]
                 for _ in range(per_client[idx]):
                     yield DnsEventRecord(ts, clients[idx], server, "tx", False)
-
-
-def generate(profile: SynthProfile) -> SynthResult:
-    """Materialized events plus the attack intervals as ground truth."""
-    return SynthResult(events=list(iter_events(profile)), truth=truth_intervals(profile))

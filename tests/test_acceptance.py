@@ -26,7 +26,6 @@ from dnswatch.matching import (
     incremental_search,
     search,
 )
-from dnswatch.model import SeriesStats
 from dnswatch.synth import SynthProfile, iter_events, truth_intervals
 
 
@@ -253,7 +252,7 @@ def test_criterion_09_unit_formulas():
         cosine([1, 0], [0, 1]) == 0.0,
         cosine([1, 2], [2, 4]) == 1.0,
     ]
-    thr = compute_thresholds(SeriesStats(1000.0, 10), [100.0] * 10, 0.0)
+    thr = compute_thresholds(1000.0, [100.0] * 10, 0.0)
     checks += [
         abs(thr.error_threshold - 9.0) < 1e-9,
         abs(thr.alpha - 90.0) < 1e-9,

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from dnswatch.cli import main
+from dnswatch.cli import _load_series_dir, main
+from dnswatch.model import FeatureKind, SeriesKey
 
 BASE_GEN = [
     "gen", "--days", "1", "--seed", "7",
@@ -110,6 +111,21 @@ class TestPipeline:
         assert r1.read_bytes() == r2.read_bytes()
         assert w1.read_bytes() == w2.read_bytes()
 
+    def test_series_keys_round_trip_through_file_names(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "ts_epoch_s,src_ip,dst_ip,direction,malformed\n"
+            "60,2001:db8::1,10.0.1.53,tx,0\n"
+            "120,10.0.0.11,10.0.1.53,tx,0\n"
+        )
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        names = sorted(p.name for p in series_dir.glob("*.csv"))
+        assert names == ["A.csv", "C_10.0.0.11.csv", "C_2001%3Adb8%3A%3A1.csv"]
+        keys = set(_load_series_dir(str(series_dir)))
+        assert SeriesKey(FeatureKind.C_TRANSMITTED, "2001:db8::1") in keys
+        assert SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.11") in keys
+
     def test_sweep_small_grid(self, tmp_path):
         events, truth = gen_small(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -152,6 +168,29 @@ class TestExitCodes:
         )
         assert out.returncode == 1
 
+    def test_nan_series_value_exits_2(self, tmp_path):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = [f"{m},5.0" for m in range(60)]
+        rows[30] = "30,nan"
+        (series_dir / "A.csv").write_text("minute,value\n" + "\n".join(rows) + "\n")
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+
+    @pytest.mark.parametrize("report, message", [
+        ([{"key": "aggregate", "start_minute": 1}], "lacks key 'end_minute'"),
+        ([["aggregate", 1, 2]], "report item 0 is not an object"),
+        ([{"key": "aggregate", "start_minute": 1, "end_minute": 2, "mse": 0.0,
+           "cosine": None, "features": ["X"], "score": 5}], "'X'"),
+    ], ids=["missing-key", "not-an-object", "unknown-feature"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, report, message):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "dnswatch", "ingest", "--events",
@@ -187,7 +226,6 @@ class TestHelp:
         )
         assert out.returncode == 0
         if sub in ("detect", "sweep"):
-            for flag in ("--epsilon", "--cos-threshold", "--cold-start-factor",
-                         "--restart-multiple"):
+            for flag in ("--epsilon", "--cos-threshold", "--cold-start-factor"):
                 assert flag in out.stdout
             assert "default" in out.stdout

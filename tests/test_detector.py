@@ -12,7 +12,7 @@ from dnswatch.detector import (
     score_aggregate,
 )
 from dnswatch.ingest import aggregate_all
-from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey, SeriesStats
+from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
@@ -71,19 +71,19 @@ class TestCosine:
 
 class TestComputeThresholds:
     def test_log_squared(self):
-        thr = compute_thresholds(SeriesStats(1000.0, 50), [100.0] * 10, 0.0)
+        thr = compute_thresholds(1000.0, [100.0] * 10, 0.0)
         assert thr.error_threshold == pytest.approx(9.0, abs=1e-12)
         assert thr.alpha == pytest.approx(90.0, abs=1e-9)
         assert thr.beta == pytest.approx(900.0, abs=1e-9)
 
     def test_degenerate_clamp(self):
-        thr = compute_thresholds(SeriesStats(1.0, 10), [5.0], 0.0)
+        thr = compute_thresholds(1.0, [5.0], 0.0)
         assert thr.error_threshold == 1.0
-        thr0 = compute_thresholds(SeriesStats(0.0, 0), [5.0], 0.1)
+        thr0 = compute_thresholds(0.0, [5.0], 0.1)
         assert thr0.error_threshold == 1.0
 
     def test_epsilon_enters_base_and_alpha(self):
-        thr = compute_thresholds(SeriesStats(1000.0, 50), [100.0] * 10, 0.5)
+        thr = compute_thresholds(1000.0, [100.0] * 10, 0.5)
         import math
 
         expected = (math.log(1000) / math.log(9.5)) ** 2
@@ -93,7 +93,7 @@ class TestComputeThresholds:
 
     def test_empty_pattern(self):
         with pytest.raises(ValueError):
-            compute_thresholds(SeriesStats(10.0, 5), [], 0.1)
+            compute_thresholds(10.0, [], 0.1)
 
 
 class TestDetectSeries:

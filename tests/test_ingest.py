@@ -7,7 +7,6 @@ from dnswatch.ingest import (
     DnsEventRecord,
     GroundTruthInterval,
     ParseError,
-    aggregate,
     aggregate_all,
     parse_events,
     parse_ground_truth,
@@ -90,21 +89,25 @@ def _rec(minute, src="10.0.0.1", dst="10.0.1.1", direction="tx", malformed=False
     return DnsEventRecord(minute * 60, src, dst, direction, malformed)
 
 
+def _feature(records, feature):
+    return {k: s for k, s in aggregate_all(records).items() if k.feature is feature}
+
+
 class TestAggregate:
     def test_same_minute_counts_add_up(self):
         records = [_rec(100), _rec(100), _rec(100)]
-        series = aggregate(records, FeatureKind.A_TOTAL_PACKETS)
+        series = _feature(records, FeatureKind.A_TOTAL_PACKETS)
         total = series[SeriesKey(FeatureKind.A_TOTAL_PACKETS)]
         assert total.start_minute == 100
         assert total.values == (3.0,)
 
     def test_no_malformed_means_no_b_series(self):
         records = [_rec(1), _rec(2, direction="rx")]
-        assert aggregate(records, FeatureKind.B_MALFORMED_RECEIVED) == {}
+        assert _feature(records, FeatureKind.B_MALFORMED_RECEIVED) == {}
 
     def test_zero_fill_between_minutes(self):
         records = [_rec(10), _rec(12)]
-        total = aggregate(records, FeatureKind.A_TOTAL_PACKETS)[
+        total = _feature(records, FeatureKind.A_TOTAL_PACKETS)[
             SeriesKey(FeatureKind.A_TOTAL_PACKETS)
         ]
         assert total.values == (1.0, 0.0, 1.0)
@@ -115,7 +118,7 @@ class TestAggregate:
             _rec(5, direction="rx", malformed=False, dst="10.0.1.9"),
             _rec(5, direction="tx", malformed=True, dst="10.0.1.9"),
         ]
-        series = aggregate(records, FeatureKind.B_MALFORMED_RECEIVED)
+        series = _feature(records, FeatureKind.B_MALFORMED_RECEIVED)
         assert set(series) == {SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "10.0.1.9")}
         assert series[SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "10.0.1.9")].values == (1.0,)
 
@@ -126,7 +129,7 @@ class TestAggregate:
             _rec(5, src="10.0.0.2"),
             _rec(5, src="10.0.0.3", direction="rx"),
         ]
-        series = aggregate(records, FeatureKind.C_TRANSMITTED)
+        series = _feature(records, FeatureKind.C_TRANSMITTED)
         assert series[SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.2")].values == (2.0,)
         assert SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.3") not in series
 
@@ -136,7 +139,7 @@ class TestAggregate:
             _rec(rng.randint(0, 50), direction=rng.choice(["tx", "rx"]))
             for _ in range(500)
         ]
-        total = aggregate(records, FeatureKind.A_TOTAL_PACKETS)[
+        total = _feature(records, FeatureKind.A_TOTAL_PACKETS)[
             SeriesKey(FeatureKind.A_TOTAL_PACKETS)
         ]
         assert sum(total.values) == 500
