@@ -27,7 +27,6 @@ _RIDGE = 1e-9  # diagonal jitter so singular normal equations still solve
 class ArModel:
     lag: int
     coefficients: tuple[float, ...]  # intercept first, then lag weights
-    training_window: int
 
 
 def _lagged_normal_equations(y: np.ndarray, max_lag: int):
@@ -92,7 +91,7 @@ def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
     aic = rows * np.log(np.maximum(rss / rows, 1e-300)) + 2 * (ps + 1)
     lag = int(ps[np.argmin(aic)])
     coef = np.linalg.solve(chol[: lag + 1, : lag + 1].T, forward[: lag + 1])
-    return ArModel(lag=lag, coefficients=tuple(float(c) for c in coef), training_window=int(y.size))
+    return ArModel(lag=lag, coefficients=tuple(float(c) for c in coef))
 
 
 def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]:
@@ -111,16 +110,6 @@ def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]
     return out
 
 
-def _choose_max_lag(n: int) -> int:
-    lag = min(60, n // 4)
-    if lag < 1:
-        lag = 1
-    # shrink until the fit precondition holds
-    if n < 2 * lag + 2:
-        lag = max(1, (n - 2) // 2)
-    return lag
-
-
 def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
     arr = np.asarray(values, dtype=float)
 
@@ -130,7 +119,8 @@ def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
         if n < 4:
             # too short for any regression; hold the mean flat
             return [float(history.mean())] * cfg.h
-        model = fit_ar(history, _choose_max_lag(n))
+        # n >= 4 gives n >= 2 * (n // 4) + 2, the fit precondition
+        model = fit_ar(history, min(60, n // 4))
         return forecast_ar(model, history, cfg.h)
 
     return predict_window

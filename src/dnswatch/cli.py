@@ -39,7 +39,11 @@ DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this artifact reserves 2
-    # for data errors.
+    # for data errors.  Flags must be spelled in full, so that a flag that
+    # one subcommand lacks is not read as a longer flag it has.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -48,22 +52,19 @@ class _Parser(argparse.ArgumentParser):
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=24, help="pattern length in minutes")
     p.add_argument("--h", type=int, default=None, help="prediction horizon in minutes (default: k)")
-    p.add_argument("--lookback", type=int, default=1440, help="history length in minutes")
     p.add_argument("--epsilon", type=float, default=0.1, help="log-base adjustment in [0,1)")
     p.add_argument("--cos-threshold", type=float, default=0.9, help="similarity cutoff in (0,1]")
-    p.add_argument("--score-threshold", type=int, default=4, help="feature score must exceed this")
     p.add_argument("--stride", type=int, default=None, help="minutes between evaluations (default: h)")
     p.add_argument("--cold-start-factor", type=float, default=10.0, help="order-of-magnitude factor")
 
 
-def _config_from_args(args: argparse.Namespace, lookback: Optional[int] = None) -> DetectorConfig:
+def _config_from_args(args: argparse.Namespace, lookback: int) -> DetectorConfig:
     return DetectorConfig(
         k=args.k,
         h=args.h,
-        lookback=args.lookback if lookback is None else lookback,
+        lookback=lookback,
         epsilon=args.epsilon,
         cos_threshold=args.cos_threshold,
-        score_threshold=args.score_threshold,
         stride=args.stride,
         cold_start_factor=args.cold_start_factor,
     )
@@ -143,6 +144,7 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
     files = sorted(Path(path).glob("*.csv"))
     if not files:
         raise ParseError(f"no series CSVs found in {path}")
+    first_span = None
     for f in files:
         key = _key_from_filename(f.name)
         minutes: list[int] = []
@@ -165,6 +167,13 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
             raise ParseError(f"{f}: empty series")
         if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
             raise ParseError(f"{f}: minutes are not contiguous")
+        span = (minutes[0], minutes[-1])
+        first_span = first_span or span
+        if span != first_span:
+            raise ParseError(
+                f"{f}: minutes {span[0]}-{span[1]} differ from {files[0].name}"
+                f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
+            )
         series[key] = MinuteSeries(key, minutes[0], tuple(values))
     return series
 
@@ -182,11 +191,11 @@ def _event_to_json(ev: AnomalyEvent) -> dict:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == "asm" else detect_series_ar
     flags = {key: detect(series[key], cfg) for key in sorted(series)}
-    events = score_aggregate(flags, cfg.h, cfg.score_threshold)
+    events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
         json.dump([_event_to_json(ev) for ev in events], fh, indent=2)
         fh.write("\n")
@@ -218,6 +227,13 @@ def _load_report(path: str) -> list[AnomalyEvent]:
             fields = {f.name: item[f.name] for f in dataclasses.fields(AnomalyEvent)}
         except KeyError as exc:
             raise ParseError(f"{path}: report item {i} lacks key {exc.args[0]!r}") from None
+        for name, kind in (("start_minute", int), ("end_minute", int), ("features", list)):
+            value = fields[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError(
+                    f"{path}: report item {i} key {name!r} must be of type"
+                    f" {kind.__name__}, got {value!r}"
+                )
         fields["features"] = frozenset(FeatureKind(v) for v in fields["features"])
         events.append(AnomalyEvent(**fields))
     return events
@@ -259,7 +275,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lookbacks = [round(float(d) * 1440) for d in args.lookbacks_days.split(",")]
     thresholds = [int(s) for s in args.score_thresholds.split(",")]
     methods = args.methods.split(",")
-    cfg = _config_from_args(args, lookback=max(lookbacks))
+    cfg = _config_from_args(args, max(lookbacks))
     rows = sweep(series, truth, cfg, lookbacks, thresholds, methods)
     with open(args.out, "w", newline="") as fh:
         fh.write(sweep_rows_to_csv(rows))
@@ -307,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["asm", "ar"], default="asm")
     p.add_argument("--report", required=True, help="output JSON report path")
     p.add_argument("--emit-windows", default=None, help="also write per-window flag CSV here")
+    p.add_argument("--lookback", type=int, default=1440, help="history length in minutes")
+    p.add_argument("--score-threshold", type=int, default=4, help="feature score must exceed this")
     _add_detector_flags(p)
     p.set_defaults(func=_cmd_detect)
 

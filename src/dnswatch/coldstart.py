@@ -1,11 +1,14 @@
 """How often should the tolerant search find anything at all?
 
-For uniform random letter streams, these routines estimate the expected
-number of times a random pattern occurs approximately in a random history,
-which shows the detector rarely lacks a prediction.  Two counting modes for
-the per-window choices are provided: a coarse product bound and an exact
-inclusion-exclusion count of bounded compositions.  All counting is exact
-big-integer arithmetic; only the final expectation is a ratio.
+These routines estimate the expected number of times a random pattern occurs
+approximately in a random history.  The model assumes that every letter of
+the pattern and of the history is drawn independently and uniformly from the
+alphabet.  Traffic series are neither uniform nor independent, so the
+estimate does not say how often the detector lacks a prediction on them.
+Two counting modes for the per-window choices are provided: a coarse product
+bound and an exact inclusion-exclusion count of bounded compositions.  All
+counting is exact big-integer arithmetic; only the final expectation is a
+ratio.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ class DetectorConfig:
     lookback: int = 1440
     epsilon: float = 0.1
     cos_threshold: float = 0.9
-    score_threshold: int = 4
     stride: Optional[int] = None
     cold_start_factor: float = 10.0
 

@@ -90,6 +90,3 @@ class MinuteSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def minute_of(self, index: int) -> int:
-        return self.start_minute + index

@@ -20,10 +20,6 @@ class Prediction:
     values: Optional[tuple[float, ...]]
     contributor_count: int
 
-    @property
-    def is_cold_start(self) -> bool:
-        return self.values is None
-
 
 COLD_START = Prediction(values=None, contributor_count=0)
 

@@ -6,8 +6,8 @@ profile (a busy window at ``high_rate`` packets per hour, ``low_rate``
 otherwise).  Hourly totals are distributed over minutes by integer quota so a
 noise-free profile produces exactly its arithmetic packet count.  During an
 attack the per-minute rate is multiplied; the extra packets come from a
-dedicated attacker address as clean transmissions and/or malformed receptions
-at a victim address, depending on which features the attack targets.
+dedicated attacker address, half as clean transmissions and the rest as
+malformed receptions at a victim address.
 
 Everything is driven by one seeded generator, so identical profiles produce
 byte-identical event streams.
@@ -21,14 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from .ingest import DnsEventRecord, GroundTruthInterval
-from .model import FeatureKind
 
 CLIENT_IPS = ("10.0.0.11", "10.0.0.12", "10.0.0.13", "10.0.0.14")
 SERVER_IPS = ("10.0.1.53", "10.0.2.53")
 ATTACKER_IP = "198.51.100.66"
 VICTIM_IP = SERVER_IPS[0]
-
-ALL_FEATURES = frozenset(FeatureKind)
+HIGH_WINDOW = (14, 24)  # busy daily hours [start, end)
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class AttackSpec:
     start_minute: int
     duration_minutes: int
     magnitude_multiplier: float
-    targets: frozenset[FeatureKind] = ALL_FEATURES
 
     def covers(self, minute: int) -> bool:
         return self.start_minute <= minute < self.start_minute + self.duration_minutes
@@ -54,7 +51,6 @@ class SynthProfile:
     days: int = 10
     high_rate: float = 20000.0  # packets per hour inside the busy window
     low_rate: float = 7500.0
-    high_window: tuple[int, int] = (14, 24)  # daily hours [start, end)
     noise_fraction: float = 0.05
     attacks: tuple[AttackSpec, ...] = field(default_factory=_default_attacks)
     seed: int = 1234
@@ -66,9 +62,6 @@ class SynthProfile:
             raise ValueError("rates must be positive")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
-        lo, hi = self.high_window
-        if not (0 <= lo < hi <= 24):
-            raise ValueError("high_window must be an hour range within a day")
         horizon = self.days * 1440
         for attack in self.attacks:
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:
@@ -101,7 +94,7 @@ def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
     clients = CLIENT_IPS
     n_clients = len(clients)
     share = np.full(n_clients, 1.0 / n_clients)
-    lo_hour, hi_hour = profile.high_window
+    lo_hour, hi_hour = HIGH_WINDOW
     nf = profile.noise_fraction
     for minute in range(profile.total_minutes):
         hour = (minute % 1440) // 60
@@ -120,24 +113,8 @@ def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
         if attack is None:
             continue
         extra = round(quota * noise * (attack.magnitude_multiplier - 1.0))
-        tx_part = 0
-        rx_part = 0
-        if FeatureKind.C_TRANSMITTED in attack.targets:
-            tx_part = extra
-        if FeatureKind.B_MALFORMED_RECEIVED in attack.targets:
-            if tx_part:
-                tx_part = extra // 2
-                rx_part = extra - tx_part
-            else:
-                rx_part = extra
-        plain = extra - tx_part - rx_part  # targets without B or C: scale baseline only
+        tx_part = extra // 2
         for _ in range(tx_part):
             yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "tx", False)
-        for _ in range(rx_part):
+        for _ in range(extra - tx_part):
             yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "rx", True)
-        if plain:
-            per_client = rng.multinomial(plain, share)
-            for idx in range(n_clients):
-                server = SERVER_IPS[idx % len(SERVER_IPS)]
-                for _ in range(per_client[idx]):
-                    yield DnsEventRecord(ts, clients[idx], server, "tx", False)

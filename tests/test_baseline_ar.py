@@ -70,15 +70,15 @@ class TestFitAr:
 
 class TestForecastAr:
     def test_zero_horizon(self):
-        model = ArModel(lag=1, coefficients=(0.0, 0.5), training_window=10)
+        model = ArModel(lag=1, coefficients=(0.0, 0.5))
         assert forecast_ar(model, [8.0], 0) == []
 
     def test_hand_iteration(self):
-        model = ArModel(lag=1, coefficients=(0.0, 0.5), training_window=10)
+        model = ArModel(lag=1, coefficients=(0.0, 0.5))
         assert forecast_ar(model, [1.0, 8.0], 2) == [4.0, 2.0]
 
     def test_history_shorter_than_lag(self):
-        model = ArModel(lag=3, coefficients=(0.0, 0.1, 0.1, 0.1), training_window=10)
+        model = ArModel(lag=3, coefficients=(0.0, 0.1, 0.1, 0.1))
         with pytest.raises(ValueError):
             forecast_ar(model, [1.0, 2.0], 1)
 

@@ -153,9 +153,18 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "49" in out.stderr  # k + h + 1 for the default k = h = 24
 
-    def test_unknown_flag_exits_1(self):
+    @pytest.mark.parametrize("argv", [
+        ["expect", "--bogus", "1"],
+        # sweep takes these only as grids; a single value is not abbreviated
+        # into --lookbacks-days or --score-thresholds either
+        ["sweep", "--events", "nope.csv", "--truth", "nope.csv", "--out", "o.csv",
+         "--lookback", "60"],
+        ["sweep", "--events", "nope.csv", "--truth", "nope.csv", "--out", "o.csv",
+         "--score-threshold", "5"],
+    ], ids=["expect-bogus", "sweep-lookback", "sweep-score-threshold"])
+    def test_unknown_flag_exits_1(self, argv):
         out = subprocess.run(
-            [sys.executable, "-m", "dnswatch", "expect", "--bogus", "1"],
+            [sys.executable, "-m", "dnswatch", *argv],
             capture_output=True, text=True,
         )
         assert out.returncode == 1
@@ -177,12 +186,37 @@ class TestExitCodes:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
 
+    def test_series_without_shared_span_exits_2(self, tmp_path, capsys):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        a_rows = "\n".join(f"{m},5.0" for m in range(0, 60))
+        c_rows = "\n".join(f"{m},5.0" for m in range(100, 180))
+        (series_dir / "A.csv").write_text("minute,value\n" + a_rows + "\n")
+        (series_dir / "C_1.2.3.4.csv").write_text("minute,value\n" + c_rows + "\n")
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert "C_1.2.3.4.csv: minutes 100-179 differ from A.csv minutes 0-59" in err
+
     @pytest.mark.parametrize("report, message", [
         ([{"key": "aggregate", "start_minute": 1}], "lacks key 'end_minute'"),
         ([["aggregate", 1, 2]], "report item 0 is not an object"),
         ([{"key": "aggregate", "start_minute": 1, "end_minute": 2, "mse": 0.0,
            "cosine": None, "features": ["X"], "score": 5}], "'X'"),
-    ], ids=["missing-key", "not-an-object", "unknown-feature"])
+        ([{"key": "aggregate", "start_minute": "a", "end_minute": 2, "mse": 0.0,
+           "cosine": None, "features": ["C"], "score": 4}],
+         "report item 0 key 'start_minute' must be of type int"),
+        ([{"key": "aggregate", "start_minute": 1, "end_minute": True, "mse": 0.0,
+           "cosine": None, "features": ["C"], "score": 4}],
+         "report item 0 key 'end_minute' must be of type int"),
+        ([{"key": "aggregate", "start_minute": 1, "end_minute": 2, "mse": 0.0,
+           "cosine": None, "features": 7, "score": 4}],
+         "report item 0 key 'features' must be of type list"),
+        ([{"key": "aggregate", "start_minute": 1, "end_minute": 2, "mse": 0.0,
+           "cosine": None, "features": "CA", "score": 5}],
+         "report item 0 key 'features' must be of type list"),
+    ], ids=["missing-key", "not-an-object", "unknown-feature", "str-start", "bool-end",
+            "int-features", "str-features"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, report, message):
         truth = tmp_path / "truth.csv"
         truth.write_text("start_minute,end_minute,label\n")

@@ -42,7 +42,3 @@ class TestMinuteSeries:
             with pytest.raises(ValueError):
                 _series([1.0, bad])
 
-    def test_minute_of(self):
-        s = _series([1, 2, 3], start=100)
-        assert s.minute_of(2) == 102
-

@@ -7,7 +7,7 @@ from dnswatch.predictor import COLD_START, cold_start_decision, predict
 
 class TestPredict:
     def test_empty_match_set_is_cold_start(self):
-        assert predict([1, 2, 3], [], 1, 1).is_cold_start
+        assert predict([1, 2, 3], [], 1, 1).values is None
         assert predict([1, 2, 3], [], 1, 1) == COLD_START
 
     def test_single_contributor_copies_following_window(self):
@@ -49,7 +49,7 @@ class TestPredict:
         pred = predict(text, starts, k, h)
         shuffled = data.draw(st.permutations(starts))
         assert predict(text, list(shuffled), k, h) == pred
-        if not pred.is_cold_start:
+        if pred.values is not None:
             contributors = [s for s in starts if s + k + h <= len(text)]
             for i, value in enumerate(pred.values):
                 column = [text[s + k + i] for s in contributors]

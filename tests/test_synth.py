@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from dnswatch.model import FeatureKind
 from dnswatch.synth import (
     ATTACKER_IP,
+    HIGH_WINDOW,
     VICTIM_IP,
     AttackSpec,
     SynthProfile,
@@ -66,7 +66,7 @@ class TestGenerate:
             attacks=(), seed=11,
         )
         per_minute = Counter(rec.ts // 60 for rec in iter_events(profile))
-        lo_hour, hi_hour = profile.high_window
+        lo_hour, hi_hour = HIGH_WINDOW
         for minute, count in per_minute.items():
             hour = (minute % 1440) // 60
             rate = profile.high_rate if lo_hour <= hour < hi_hour else profile.low_rate
@@ -96,16 +96,6 @@ class TestGenerate:
             r for r in recs if r.dst_ip == VICTIM_IP and r.direction == "rx" and r.malformed
         ]
         assert tx_from_attacker and rx_malformed
-
-    def test_attack_targets_limit_emission_kinds(self):
-        only_b = AttackSpec(700, 10, 5.0, targets=frozenset({FeatureKind.B_MALFORMED_RECEIVED}))
-        profile = SynthProfile(
-            days=1, high_rate=6000.0, low_rate=1200.0, noise_fraction=0.0,
-            attacks=(only_b,), seed=17,
-        )
-        recs = [r for r in iter_events(profile) if r.src_ip == ATTACKER_IP]
-        assert recs
-        assert all(r.direction == "rx" and r.malformed for r in recs)
 
     def test_baseline_has_no_malformed_traffic(self):
         profile = SynthProfile(days=1, high_rate=900.0, low_rate=300.0, attacks=(), seed=19)
