@@ -5,6 +5,18 @@ values, fitted by ordinary least squares over the normal equations.  The lag
 is chosen by AIC over candidates 1..max_lag, all fitted on the same rows
 (those with ``max_lag`` predecessors) so their likelihoods are comparable.
 
+Every fit reads its normal equations off prefix sums of the series and of
+its lagged products ``y(s) * y(s + d)``.  Detection builds them once per
+series, sized to the largest lag any window can choose, ``L =
+min(60, lookback // 4, len // 4)``: that takes ``(L + 2) * (len + 1)``
+floats for one series at a time, and each window then costs O(L^2) however
+long its history.  ``fit_ar`` builds them over its own history and takes the
+same path.  Each window sum is a difference of two prefix sums.  For integer
+counts whose prefix sums stay below 2**53 every sum is exact, so a window
+fits bit for bit as it would from its own history alone.  On other values
+the rounding error grows with the length of the prefix rather than the
+window, most for a short lookback late in a long series.
+
 Detection reuses the exact thresholds and decision rule of the matching
 detector, so the two methods differ only in how the predicted window is
 produced.
@@ -29,37 +41,50 @@ class ArModel:
     coefficients: tuple[float, ...]  # intercept first, then lag weights
 
 
-def _lagged_normal_equations(y: np.ndarray, max_lag: int):
-    """Gram matrix and cross products of [1, y(t-1)..y(t-max_lag)] vs y(t).
+class _LaggedSums:
+    """Prefix sums of ``y`` and of ``y(s) * y(s + d)`` for ``d = 0..max_lag``.
 
-    Built from prefix sums of lagged products, O(n * max_lag) instead of the
-    O(n * max_lag^2) dense product.
+    Row ``d`` holds ``sum(y[r] * y[r + d] for r < i)`` at column ``i``,
+    defined up to ``i = n - d``; the last row holds ``sum(y[r] for r < i)``.
     """
-    n_total = y.size
-    L = max_lag
-    rows = n_total - L
-    csum = np.concatenate(([0.0], np.cumsum(y)))
-    lag_sums = [np.concatenate(([0.0], np.cumsum(y[: n_total - d] * y[d:]))) for d in range(L + 1)]
-    gram = np.empty((L + 1, L + 1))
-    gram[0, 0] = rows
-    cols = np.arange(1, L + 1)
-    gram[0, 1:] = csum[n_total - cols] - csum[L - cols]
-    gram[1:, 0] = gram[0, 1:]
-    for d in range(L):
-        j = np.arange(d + 1, L + 1)
-        vals = lag_sums[d][n_total - j] - lag_sums[d][L - j]
-        gram[j - d, j] = vals
-        gram[j, j - d] = vals
-    cross = np.empty(L + 1)
-    cross[0] = csum[n_total] - csum[L]
-    for i in range(1, L + 1):
-        cross[i] = lag_sums[i][n_total - i] - lag_sums[i][L - i]
-    target_sq = float(lag_sums[0][n_total] - lag_sums[0][L])
-    return gram, cross, target_sq, rows
+
+    def __init__(self, y: np.ndarray, max_lag: int):
+        n = y.size
+        self._sums = np.zeros((max_lag + 2, n + 1))
+        for d in range(max_lag + 1):
+            np.cumsum(y[: n - d] * y[d:], out=self._sums[d, 1 : n - d + 1])
+        np.cumsum(y, out=self._sums[-1, 1:])
+        # Over the targets s of a window, entry (a, b) of the lagged products
+        # sum(y[s - a] * y[s - b]) lies in row |a - b| at column s - max(a, b);
+        # this is its flat offset, to which a window adds its column bound.
+        k = np.arange(max_lag + 1)
+        self._offset = np.abs(k[:, None] - k) * (n + 1) - np.maximum(k[:, None], k)
+
+    def fit(self, lo: int, t: int, max_lag: int) -> ArModel:
+        """Fit ``y[lo:t]`` with candidate lags ``1..max_lag``.
+
+        ``max_lag`` may not exceed the one the sums were built for.
+        """
+        first = lo + max_lag  # the first target with max_lag predecessors
+        rows = t - first
+        flat = self._sums.ravel()
+        offset = self._offset[: max_lag + 1, : max_lag + 1]
+        # lagged products with a, b in 0..max_lag, 0 being the target y(s)
+        gram = flat.take(offset + t) - flat.take(offset + first)
+        k = np.arange(max_lag + 1)
+        level = self._sums[-1, t - k] - self._sums[-1, first - k]  # sum(y[s - a])
+        target_sq = float(gram[0, 0])
+        cross = gram[0].copy()
+        cross[0] = level[0]
+        # swap the target for the intercept: Gram of [1, y(s-1)..y(s-max_lag)]
+        gram[0] = level
+        gram[:, 0] = level
+        gram[0, 0] = rows
+        return _solve(gram, cross, target_sq, rows)
 
 
-def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
-    """Fit candidates 1..max_lag and keep the one minimizing AIC.
+def _solve(gram: np.ndarray, cross: np.ndarray, target_sq: float, rows: int) -> ArModel:
+    """Keep the lag minimizing AIC among candidates 1..max_lag.
 
     All candidates share one Cholesky factorization of the ridge-adjusted
     normal equations: the factor of each leading block is the leading block
@@ -67,14 +92,7 @@ def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
     residual sum (``rss_p = y'y - |forward_solution[:p+1]|^2``) and only the
     winning lag needs a full solve.
     """
-    y = np.asarray(history, dtype=float)
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
-    if y.size < 2 * max_lag + 2:
-        raise ValueError(
-            f"history must have at least {2 * max_lag + 2} values for max_lag={max_lag}, got {y.size}"
-        )
-    gram, cross, target_sq, rows = _lagged_normal_equations(y, max_lag)
+    max_lag = gram.shape[0] - 1
     chol = None
     for ridge in (_RIDGE, 1e-6, 1e-3, 1.0):
         try:
@@ -92,6 +110,18 @@ def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
     lag = int(ps[np.argmin(aic)])
     coef = np.linalg.solve(chol[: lag + 1, : lag + 1].T, forward[: lag + 1])
     return ArModel(lag=lag, coefficients=tuple(float(c) for c in coef))
+
+
+def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
+    """Fit candidates 1..max_lag and keep the one minimizing AIC."""
+    y = np.asarray(history, dtype=float)
+    if max_lag < 1:
+        raise ValueError("max_lag must be at least 1")
+    if y.size < 2 * max_lag + 2:
+        raise ValueError(
+            f"history must have at least {2 * max_lag + 2} values for max_lag={max_lag}, got {y.size}"
+        )
+    return _LaggedSums(y, max_lag).fit(0, y.size, max_lag)
 
 
 def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]:
@@ -112,6 +142,9 @@ def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]
 
 def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
     arr = np.asarray(values, dtype=float)
+    # sized to the largest max_lag a window asks for: a history holds at
+    # most min(lookback, len) values
+    sums = _LaggedSums(arr, min(60, cfg.lookback // 4, arr.size // 4))
 
     def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
         history = arr[lo:t]
@@ -120,7 +153,7 @@ def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
             # too short for any regression; hold the mean flat
             return [float(history.mean())] * cfg.h
         # n >= 4 gives n >= 2 * (n // 4) + 2, the fit precondition
-        model = fit_ar(history, min(60, n // 4))
+        model = sums.fit(lo, t, min(60, n // 4))
         return forecast_ar(model, history, cfg.h)
 
     return predict_window

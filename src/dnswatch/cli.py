@@ -48,6 +48,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's parser takes every argument after the subcommand,
+        # so it reports leftovers itself, with its own usage, instead of
+        # handing them back to the top-level parser.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=24, help="pattern length in minutes")

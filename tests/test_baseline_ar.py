@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnswatch.baseline_ar import ArModel, detect_series_ar, fit_ar, forecast_ar
-from dnswatch.detector import DetectorConfig
+from dnswatch.baseline_ar import ArModel, _ar_predictor, detect_series_ar, fit_ar, forecast_ar
+from dnswatch.detector import DetectorConfig, _detect_loop
 from dnswatch.ingest import aggregate_all
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
@@ -18,6 +22,27 @@ def _ar1(n, coef, seed, sigma=1.0):
     for t in range(1, n):
         y[t] = coef * y[t - 1] + rng.normal(0.0, sigma)
     return y
+
+
+def _window_local_predictor(values, cfg):
+    """The AR predictor with every window fitted from its own history alone."""
+    arr = np.asarray(values, dtype=float)
+
+    def predict(lo, t, thr):
+        history = arr[lo:t]
+        n = history.size
+        if n < 4:
+            return [float(history.mean())] * cfg.h
+        return forecast_ar(fit_ar(history, min(60, n // 4)), history, cfg.h)
+
+    return predict
+
+
+def _bits(flags):
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(f))
+        for f in flags
+    ]
 
 
 class TestFitAr:
@@ -122,3 +147,32 @@ class TestDetectSeriesAr:
         asm = detect_series(_series(values, start=77), cfg)
         ar = detect_series_ar(_series(values, start=77), cfg)
         assert [f.window_start for f in asm] == [f.window_start for f in ar]
+
+
+class TestWholeSeriesSums:
+    """Detection reads every window's fit off prefix sums of the whole series."""
+
+    @settings(max_examples=25)
+    @given(st.integers(24, 239), st.integers(3, 9), st.sampled_from([0, 3, 5000]), st.data())
+    def test_integer_counts_fit_bit_for_bit_as_window_local(self, lookback, stride, top, data):
+        # the series outlasts the lookback, so later windows start at lo > 0,
+        # and the early windows' histories grow, so their max_lag varies
+        counts = data.draw(
+            st.lists(st.integers(0, top), min_size=lookback + 40, max_size=lookback + 100)
+        )
+        series = _series([float(c) for c in counts], start=5)
+        cfg = DetectorConfig(k=12, h=12, lookback=lookback, stride=stride)
+        reference = _detect_loop(series, cfg, _window_local_predictor(series.values, cfg))
+        assert _bits(detect_series_ar(series, cfg)) == _bits(reference)
+
+    @pytest.mark.parametrize("lookback", [48, 200])
+    def test_non_integer_values_agree_within_rtol(self, lookback):
+        rng = np.random.default_rng(11)
+        minutes = np.arange(600)
+        values = 40.0 + 30.0 * np.sin(minutes * 2 * np.pi / 97) + rng.normal(0.0, 5.0, 600)
+        cfg = DetectorConfig(k=12, h=12, lookback=lookback, stride=7)
+        whole = _ar_predictor(values, cfg)
+        local = _window_local_predictor(values, cfg)
+        for t in range(cfg.k, values.size - cfg.h + 1, cfg.stride):
+            lo = max(0, t - lookback)
+            np.testing.assert_allclose(whole(lo, t, None), local(lo, t, None), rtol=1e-9)

@@ -161,7 +161,8 @@ class TestExitCodes:
          "--lookback", "60"],
         ["sweep", "--events", "nope.csv", "--truth", "nope.csv", "--out", "o.csv",
          "--score-threshold", "5"],
-    ], ids=["expect-bogus", "sweep-lookback", "sweep-score-threshold"])
+        ["detect", "--series-dir", "x", "--report", "y", "--lookb", "10"],
+    ], ids=["expect-bogus", "sweep-lookback", "sweep-score-threshold", "detect-lookb"])
     def test_unknown_flag_exits_1(self, argv):
         out = subprocess.run(
             [sys.executable, "-m", "dnswatch", *argv],
@@ -169,6 +170,8 @@ class TestExitCodes:
         )
         assert out.returncode == 1
         assert "error" in out.stderr
+        # the subcommand's own usage, which lists the flags it does take
+        assert f"usage: dnswatch {argv[0]}" in out.stderr
 
     def test_unknown_subcommand_exits_1(self):
         out = subprocess.run(
