@@ -25,12 +25,15 @@ produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .detector import DetectorConfig, ThresholdSet, WindowFlag, _detect_loop
 from .model import MinuteSeries
+
+# numpy is imported inside the functions that compute with it, so that
+# importing the package, and every command that fits no AR model, skips it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _RIDGE = 1e-9  # diagonal jitter so singular normal equations still solve
 
@@ -49,6 +52,8 @@ class _LaggedSums:
     """
 
     def __init__(self, y: np.ndarray, max_lag: int):
+        import numpy as np
+
         n = y.size
         self._sums = np.zeros((max_lag + 2, n + 1))
         for d in range(max_lag + 1):
@@ -65,6 +70,8 @@ class _LaggedSums:
 
         ``max_lag`` may not exceed the one the sums were built for.
         """
+        import numpy as np
+
         first = lo + max_lag  # the first target with max_lag predecessors
         rows = t - first
         flat = self._sums.ravel()
@@ -92,6 +99,8 @@ def _solve(gram: np.ndarray, cross: np.ndarray, target_sq: float, rows: int) -> 
     residual sum (``rss_p = y'y - |forward_solution[:p+1]|^2``) and only the
     winning lag needs a full solve.
     """
+    import numpy as np
+
     max_lag = gram.shape[0] - 1
     chol = None
     for ridge in (_RIDGE, 1e-6, 1e-3, 1.0):
@@ -114,6 +123,8 @@ def _solve(gram: np.ndarray, cross: np.ndarray, target_sq: float, rows: int) -> 
 
 def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
     """Fit candidates 1..max_lag and keep the one minimizing AIC."""
+    import numpy as np
+
     y = np.asarray(history, dtype=float)
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
@@ -141,6 +152,8 @@ def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]
 
 
 def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     # sized to the largest max_lag a window asks for: a history holds at
     # most min(lookback, len) values

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ColdStartParams:
@@ -113,6 +111,8 @@ def monte_carlo_matches(params: ColdStartParams, trials: int, seed: int) -> floa
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    import numpy as np  # here, not at the top: importing the package skips numpy
+
     rng = np.random.default_rng(seed)
     letters = 10**params.d
     k, l = params.k, params.l

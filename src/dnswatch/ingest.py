@@ -18,6 +18,9 @@ EVENTS_HEADER = ["ts_epoch_s", "src_ip", "dst_ip", "direction", "malformed"]
 TRUTH_HEADER = ["start_minute", "end_minute", "label"]
 
 _DIRECTIONS = ("tx", "rx")
+# Every series is zero-filled over the span of the whole record set, so one
+# stray timestamp years away would cost a float per minute per series.
+MAX_SPAN_MINUTES = 366 * 1440
 
 
 class ParseError(ValueError):
@@ -59,6 +62,8 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
             ts = int(float(ts_raw))
         except ValueError:
             raise ParseError(f"line {lineno}: unparsable timestamp {ts_raw!r}") from None
+        except OverflowError:
+            raise ParseError(f"line {lineno}: infinite timestamp {ts_raw!r}") from None
         if ts < 0:
             raise ParseError(f"line {lineno}: negative timestamp {ts_raw!r}")
         if direction not in _DIRECTIONS:
@@ -67,7 +72,9 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
             )
         if malformed not in ("0", "1"):
             raise ParseError(f"line {lineno}: field 'malformed' must be 0 or 1, got {malformed!r}")
-        yield DnsEventRecord(ts, src, dst, direction, malformed == "1")
+        # the same record as DnsEventRecord(...), without a call to the
+        # generated Python-level __new__ for every line
+        yield tuple.__new__(DnsEventRecord, (ts, src, dst, direction, malformed == "1"))
 
 
 def write_events(stream: IO[str], records: Iterable[DnsEventRecord]) -> int:
@@ -119,27 +126,32 @@ def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSe
     received malformed records per minute keyed by the receiver; feature C
     counts transmitted records per minute keyed by the sender.  Every
     produced series is zero-filled over the minute span of the whole record
-    set.
+    set, which may not exceed ``MAX_SPAN_MINUTES``.
     """
     total: dict[int, int] = {}
     malformed_rx: dict[str, dict[int, int]] = {}
     transmitted: dict[str, dict[int, int]] = {}
-    lo = hi = None
-    for rec in records:
-        minute = rec.ts // 60
-        if lo is None or minute < lo:
-            lo = minute
-        if hi is None or minute > hi:
-            hi = minute
+    for ts, src, dst, direction, malformed in records:
+        minute = ts // 60
         total[minute] = total.get(minute, 0) + 1
-        if rec.direction == "rx" and rec.malformed:
-            per = malformed_rx.setdefault(rec.dst_ip, {})
+        if direction == "tx":
+            per = transmitted.get(src)
+            if per is None:
+                per = transmitted[src] = {}
             per[minute] = per.get(minute, 0) + 1
-        if rec.direction == "tx":
-            per = transmitted.setdefault(rec.src_ip, {})
+        elif malformed and direction == "rx":
+            per = malformed_rx.get(dst)
+            if per is None:
+                per = malformed_rx[dst] = {}
             per[minute] = per.get(minute, 0) + 1
-    if lo is None:
+    if not total:
         return {}
+    lo, hi = min(total), max(total)
+    if hi - lo >= MAX_SPAN_MINUTES:
+        raise ParseError(
+            f"events span minutes {lo} to {hi}, {hi - lo + 1} minutes; at most"
+            f" {MAX_SPAN_MINUTES} ({MAX_SPAN_MINUTES // 1440} days) can be zero-filled"
+        )
     out: dict[SeriesKey, MinuteSeries] = {}
     key_a = SeriesKey(FeatureKind.A_TOTAL_PACKETS)
     out[key_a] = MinuteSeries(key_a, lo, _zero_filled(total, lo, hi))

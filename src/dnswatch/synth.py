@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .ingest import DnsEventRecord, GroundTruthInterval
 
 CLIENT_IPS = ("10.0.0.11", "10.0.0.12", "10.0.0.13", "10.0.0.14")
@@ -90,6 +88,8 @@ def _minute_quota(rate_per_hour: float, minute_in_hour: int) -> int:
 
 def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
     """Stream records in time order without materializing them."""
+    import numpy as np  # here, not at the top: importing the package skips numpy
+
     rng = np.random.default_rng(profile.seed)
     clients = CLIENT_IPS
     n_clients = len(clients)

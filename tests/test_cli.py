@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from dnswatch.cli import _load_series_dir, main
+from dnswatch.ingest import MAX_SPAN_MINUTES
 from dnswatch.model import FeatureKind, SeriesKey
 
 BASE_GEN = [
@@ -228,6 +229,18 @@ class TestExitCodes:
         assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        (["60,a,b,tx,0", "inf,a,b,tx,0"], "line 3: infinite timestamp 'inf'"),
+        (["60,a,b,tx,0", f"{60 * (1 + MAX_SPAN_MINUTES)},a,b,tx,0"],
+         f"events span minutes 1 to {1 + MAX_SPAN_MINUTES}"),
+    ], ids=["inf-timestamp", "span-over-bound"])
+    def test_bad_events_exit_2(self, tmp_path, capsys, rows, message):
+        events = tmp_path / "events.csv"
+        events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n" + "\n".join(rows) + "\n")
+        assert run_cli(["ingest", "--events", events, "--out-dir", tmp_path / "s"]) == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "s").iterdir()) == []
+
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "dnswatch", "ingest", "--events",
@@ -266,3 +279,48 @@ class TestHelp:
             for flag in ("--epsilon", "--cos-threshold", "--cold-start-factor"):
                 assert flag in out.stdout
             assert "default" in out.stdout
+
+
+# Runs the labelled commands in one fresh interpreter and reports, after the
+# import and after each command, whether numpy has been loaded.
+_NUMPY_PROBE = """
+import json, sys
+import dnswatch.cli
+seen = {"import": "numpy" in sys.modules}
+for label, argv in json.loads(sys.argv[1]).items():
+    assert dnswatch.cli.main(argv) == 0, label
+    seen[label] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+class TestImports:
+    def test_numpy_loads_only_for_the_commands_that_compute_with_it(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "ts_epoch_s,src_ip,dst_ip,direction,malformed\n"
+            + "".join(f"{60 * m},10.0.0.11,10.0.1.53,tx,0\n" for m in range(120) for _ in range(m % 7))
+        )
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n50,60,attack\n")
+        series, report = str(tmp_path / "series"), str(tmp_path / "report.json")
+        detect = ["detect", "--series-dir", series, "--report", report, "--lookback", "48"]
+        steps = {
+            "ingest": ["ingest", "--events", str(events), "--out-dir", series],
+            "detect-asm": detect + ["--method", "asm"],
+            "eval": ["eval", "--report", report, "--truth", str(truth)],
+            "detect-ar": detect + ["--method", "ar"],
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == {
+            "import": False,
+            "ingest": False,
+            "detect-asm": False,
+            "eval": False,
+            # the probe does see numpy once a command loads it
+            "detect-ar": True,
+        }

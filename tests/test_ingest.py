@@ -6,6 +6,7 @@ import pytest
 from dnswatch.ingest import (
     DnsEventRecord,
     GroundTruthInterval,
+    MAX_SPAN_MINUTES,
     ParseError,
     aggregate_all,
     parse_events,
@@ -30,6 +31,7 @@ class TestParseEvents:
     def test_single_record_round_trip_values(self):
         records = _parse(EVENTS_HEADER + "120,10.0.0.1,10.0.0.2,tx,1\n")
         assert records == [DnsEventRecord(120, "10.0.0.1", "10.0.0.2", "tx", True)]
+        assert type(records[0]) is DnsEventRecord
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -44,6 +46,11 @@ class TestParseEvents:
     def test_bad_timestamp(self):
         with pytest.raises(ParseError, match="line 2"):
             _parse(EVENTS_HEADER + "soon,a,b,tx,0\n")
+
+    @pytest.mark.parametrize("ts", ["inf", "-inf"])
+    def test_infinite_timestamp_names_line(self, ts):
+        with pytest.raises(ParseError, match=f"line 3: infinite timestamp '{ts}'"):
+            _parse(EVENTS_HEADER + "60,a,b,tx,0\n" + f"{ts},a,b,tx,0\n")
 
     def test_bad_field_count(self):
         with pytest.raises(ParseError, match="5 fields"):
@@ -168,3 +175,14 @@ class TestAggregate:
 
     def test_empty_input(self):
         assert aggregate_all([]) == {}
+
+    def test_span_bound_is_inclusive(self):
+        records = [_rec(7), _rec(7 + MAX_SPAN_MINUTES - 1)]
+        total = aggregate_all(records)[SeriesKey(FeatureKind.A_TOTAL_PACKETS)]
+        assert len(total) == MAX_SPAN_MINUTES
+
+    def test_span_over_bound_names_both_minutes(self):
+        # one minute over the bound
+        records = [_rec(7 + MAX_SPAN_MINUTES), _rec(9), _rec(7)]
+        with pytest.raises(ParseError, match=f"minutes 7 to {7 + MAX_SPAN_MINUTES}"):
+            aggregate_all(records)
