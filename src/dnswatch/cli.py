@@ -134,9 +134,18 @@ def _key_from_filename(name: str) -> SeriesKey:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.events, newline="") as fh:
         series = aggregate_all(parse_events(fh))
+    # detect reads every CSV in the directory, so one left by an earlier
+    # capture would be scored as part of this one.
+    names = {_series_filename(key) for key in series}
+    stale = sorted(f.name for f in out_dir.glob("*.csv") if f.name not in names)
+    if stale:
+        raise ParseError(
+            f"{out_dir} holds series files that this capture does not write:"
+            f" {', '.join(stale)}; remove them or choose another --out-dir"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
     for key in sorted(series):
         s = series[key]
         path = out_dir / _series_filename(key)
@@ -156,6 +165,10 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
     first_span = None
     for f in files:
         key = _key_from_filename(f.name)
+        # Two names that decode to one key would otherwise overwrite each other.
+        canonical = _series_filename(key)
+        if canonical != f.name:
+            raise ParseError(f"{f}: series {key.label()} is stored as {canonical}, not {f.name}")
         minutes: list[int] = []
         values: list[float] = []
         with open(f, newline="") as fh:

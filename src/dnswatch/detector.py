@@ -18,6 +18,7 @@ tolerances scale from it with the pattern mean.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -147,12 +148,80 @@ class WindowFlag:
 WindowPredictor = Callable[[int, int, ThresholdSet], Optional[Sequence[float]]]
 
 
+def _zero_runs(values: Sequence[float], k: int) -> tuple[list[int], list[int]]:
+    """Starts and ends (exclusive) of the maximal zero runs at least ``k`` long."""
+    starts: list[int] = []
+    ends: list[int] = []
+    run_start = None
+    for i, v in enumerate(values):
+        if not v:
+            if run_start is None:
+                run_start = i
+            continue
+        if run_start is not None and i - run_start >= k:
+            starts.append(run_start)
+            ends.append(i)
+        run_start = None
+    if run_start is not None and len(values) - run_start >= k:
+        starts.append(run_start)
+        ends.append(len(values))
+    return starts, ends
+
+
+def _predict_all_zero(
+    values: Sequence[float],
+    runs: tuple[list[int], list[int]],
+    lo: int,
+    t: int,
+    k: int,
+    h: int,
+) -> Optional[tuple[float, ...]]:
+    """What ``search`` + ``predict`` give for an all-zero pattern, read off the runs.
+
+    The tolerances are then zero, so the scan accepts exactly the greedy
+    blocks of ``k`` zeros of each zero run clipped to ``[lo, t)``.  A block
+    contributes when its next ``h`` minutes end by ``t``; those inside its
+    run add only zeros, which leave every partial sum unchanged, so only the
+    blocks whose next minutes cross the run's end are summed, in scan order.
+    """
+    starts, ends = runs
+    last = t - k - h  # latest start with a complete following window
+    count = 0
+    acc = [0.0] * h
+    for r in range(bisect_left(ends, lo + k), len(ends)):
+        first = max(starts[r], lo)
+        if first > last:
+            break
+        end = min(ends[r], t)
+        top = min(end - k, last)  # latest contributing block start
+        if top < first:
+            continue
+        count += (top - first) // k + 1
+        # Only blocks starting after end - k - h see minutes past the run.
+        summed = first + max(0, (end - k - h - first) // k + 1) * k
+        for s in range(summed, top + 1, k):
+            acc = [a + v for a, v in zip(acc, values[s + k : s + k + h])]
+    if not count:
+        return None
+    return tuple(a / count for a in acc)
+
+
 def _asm_predictor(values: Sequence[float], cfg: DetectorConfig) -> WindowPredictor:
+    k, h = cfg.k, cfg.h
+    runs: Optional[tuple[list[int], list[int]]] = None
+
     def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
+        nonlocal runs
+        pattern = values[t - k : t]
+        # Keyed on the pattern, not on alpha == 0: a subnormal pattern mean
+        # also rounds alpha to zero without the pattern being all zero.
+        if not any(pattern):
+            if runs is None:
+                runs = _zero_runs(values, k)
+            return _predict_all_zero(values, runs, lo, t, k, h)
         history = values[lo:t]
-        pattern = values[t - cfg.k : t]
         starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
-        pred = predict(history, starts, cfg.k, cfg.h)
+        pred = predict(history, starts, k, h)
         return pred.values
 
     return predict_window

@@ -239,7 +239,40 @@ class TestExitCodes:
         events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n" + "\n".join(rows) + "\n")
         assert run_cli(["ingest", "--events", events, "--out-dir", tmp_path / "s"]) == 2
         assert message in capsys.readouterr().err
-        assert list((tmp_path / "s").iterdir()) == []
+        assert not (tmp_path / "s").exists()
+
+    def test_ingest_refuses_series_files_of_another_capture(self, tmp_path, capsys):
+        header = "ts_epoch_s,src_ip,dst_ip,direction,malformed\n"
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_text(header + "60,10.0.0.1,10.0.1.53,tx,0\n")
+        second.write_text(header + "60,10.0.0.2,10.0.1.53,tx,0\n")
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", first, "--out-dir", series_dir]) == 0
+        before = {p.name: p.read_bytes() for p in series_dir.iterdir()}
+        assert run_cli(["ingest", "--events", second, "--out-dir", series_dir]) == 2
+        err = capsys.readouterr().err
+        assert "does not write: C_10.0.0.1.csv;" in err
+        # nothing is deleted or written
+        assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == before
+
+    def test_reingest_of_the_same_capture_succeeds(self, tmp_path):
+        events, _ = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        first = {p.name: p.read_bytes() for p in series_dir.iterdir()}
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == first
+
+    def test_series_files_decoding_to_one_key_exit_2(self, tmp_path, capsys):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = "minute,value\n" + "\n".join(f"{m},1.0" for m in range(60)) + "\n"
+        (series_dir / "C_10.0.0.1.csv").write_text(rows)
+        (series_dir / "C_10.0.0%2E1.csv").write_text(rows)
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert "C_10.0.0%2E1.csv: series C:10.0.0.1 is stored as C_10.0.0.1.csv" in err
 
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(

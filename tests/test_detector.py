@@ -1,10 +1,14 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnswatch import detector
 from dnswatch.detector import (
     DetectorConfig,
     WindowFlag,
+    _asm_predictor,
     compute_thresholds,
     cosine,
     detect_series,
@@ -12,7 +16,9 @@ from dnswatch.detector import (
     score_aggregate,
 )
 from dnswatch.ingest import aggregate_all
+from dnswatch.matching import Tolerance, search
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
+from dnswatch.predictor import predict
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
@@ -158,6 +164,67 @@ class TestDetectSeries:
         for m, c in [(0.5, 0.5), (10.0, 0.95), (10.0, 0.5), (0.0, 1.0)]:
             assert decide(m, c, 1.0, 0.9) <= decide(m, c, 0.5, 0.9)
             assert decide(m, c, 1.0, 0.9) <= decide(m, c, 1.0, 0.99)
+
+
+def _hex(pred):
+    return None if pred is None else [float.hex(v) for v in pred]
+
+
+# Zero runs of mixed signed zeros between short bursts of non-zero values,
+# non-integers and the smallest subnormal among them.
+_SPARSE = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from([0.0, -0.0]), max_size=90),
+        st.lists(
+            st.one_of(
+                st.sampled_from([5e-324, 0.1, 1.0, 2.5]),
+                st.floats(min_value=5e-324, max_value=1e4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda segments: tuple(v for zeros, burst in segments for v in zeros + burst))
+
+
+class TestAllZeroPatterns:
+    @settings(max_examples=150)
+    @given(values=_SPARSE, data=st.data())
+    def test_fast_path_matches_search_and_predict(self, values, data):
+        n = len(values)
+        if n < 3:
+            values, n = values + (0.0, 0.0), n + 2
+        k = data.draw(st.integers(1, min(40, n - 2)), label="k")
+        h = data.draw(st.integers(1, min(40, n - 1 - k)), label="h")
+        lookback = data.draw(st.integers(k + h, n + 10), label="lookback")
+        cfg = DetectorConfig(k=k, h=h, lookback=lookback)
+        predict_window = _asm_predictor(values, cfg)
+        with mock.patch.object(detector, "search", wraps=search) as spy:
+            for t in range(k, n - h + 1):
+                pattern = values[t - k : t]
+                if any(pattern):
+                    continue
+                lo = max(0, t - lookback)
+                thr = compute_thresholds(max(values[:t]), pattern, cfg.epsilon)
+                history = values[lo:t]
+                starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
+                want = predict(history, starts, k, h).values
+                assert _hex(predict_window(lo, t, thr)) == _hex(want), (lo, t)
+        assert spy.call_count == 0
+
+    def test_subnormal_pattern_mean_still_searches(self):
+        # mean(5e-324, 0) rounds to 0, so alpha == beta == 0 although the
+        # pattern is not all zero: only the scan finds its exact matches.
+        values = (5e-324, 0.0, 1.0, 2.0, 5e-324, 0.0, 3.0, 4.0, 5e-324, 0.0, 9.0, 9.0)
+        cfg = DetectorConfig(k=2, h=2, lookback=10)
+        pattern = values[8:10]
+        thr = compute_thresholds(max(values[:10]), pattern, cfg.epsilon)
+        assert thr.alpha == 0.0 and thr.beta == 0.0 and any(pattern)
+        with mock.patch.object(detector, "search", wraps=search) as spy:
+            assert _asm_predictor(values, cfg)(0, 10, thr) == (2.0, 3.0)
+        assert spy.call_count == 1
 
 
 class TestDetectorConfig:
