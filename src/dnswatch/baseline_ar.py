@@ -17,6 +17,17 @@ fits bit for bit as it would from its own history alone.  On other values
 the rounding error grows with the length of the prefix rather than the
 window, most for a short lookback late in a long series.
 
+Detection fits the windows of a series in stacks of at most ``_CHUNK``
+that share a largest candidate lag: one stacked Cholesky factorization and
+one stacked forward solve per stack, and one stacked coefficient solve per
+chosen lag.  numpy factors and solves each matrix of a stack on its own, so
+every window gets the bits it would get alone.  A stack that does not factor
+with the first ridge step is fitted one window at a time.  The stack bound
+keeps the memory small: a stack holds up to 8 Gram matrices of 61 x 61
+floats, about 240 KB, plus temporaries of that size.  All windows of a
+series are then forecast together, each in ``forecast_ar``'s order of
+operations, which holds about ``2 * (L + h)`` floats per window.
+
 Detection reuses the exact thresholds and decision rule of the matching
 detector, so the two methods differ only in how the predicted window is
 produced.
@@ -27,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .detector import DetectorConfig, ThresholdSet, WindowFlag, _detect_loop
+from .detector import DetectorConfig, Window, WindowFlag, _decide, _plan_windows
 from .model import MinuteSeries
 
 # numpy is imported inside the functions that compute with it, so that
@@ -35,7 +46,15 @@ from .model import MinuteSeries
 if TYPE_CHECKING:
     import numpy as np
 
-_RIDGE = 1e-9  # diagonal jitter so singular normal equations still solve
+# Diagonal jitter so singular normal equations still solve: these absolute
+# steps first, then steps scaled by the largest diagonal entry, which the
+# absolute ones fall below the rounding of once counts are large.
+_RIDGES = (1e-9, 1e-6, 1e-3, 1.0)
+_RELATIVE_RIDGES = (1e-12, 1e-9, 1e-6, 1e-3, 1.0)
+# Windows fitted per stacked factorization.  Each holds a Gram matrix of up
+# to 61 x 61 floats, with several temporaries of that size, so the chunk
+# bounds the memory; larger chunks gain little and cost peak RSS.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -65,10 +84,11 @@ class _LaggedSums:
         k = np.arange(max_lag + 1)
         self._offset = np.abs(k[:, None] - k) * (n + 1) - np.maximum(k[:, None], k)
 
-    def fit(self, lo: int, t: int, max_lag: int) -> ArModel:
-        """Fit ``y[lo:t]`` with candidate lags ``1..max_lag``.
+    def fit(self, lo: np.ndarray, t: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fit each ``y[lo[i]:t[i]]`` with candidate lags ``1..max_lag``.
 
-        ``max_lag`` may not exceed the one the sums were built for.
+        ``max_lag`` may not exceed the one the sums were built for.  Returns
+        what ``_solve`` returns.
         """
         import numpy as np
 
@@ -77,48 +97,73 @@ class _LaggedSums:
         flat = self._sums.ravel()
         offset = self._offset[: max_lag + 1, : max_lag + 1]
         # lagged products with a, b in 0..max_lag, 0 being the target y(s)
-        gram = flat.take(offset + t) - flat.take(offset + first)
+        gram = flat.take(offset + t[:, None, None]) - flat.take(offset + first[:, None, None])
         k = np.arange(max_lag + 1)
-        level = self._sums[-1, t - k] - self._sums[-1, first - k]  # sum(y[s - a])
-        target_sq = float(gram[0, 0])
-        cross = gram[0].copy()
-        cross[0] = level[0]
+        # sum(y[s - a])
+        level = self._sums[-1, t[:, None] - k] - self._sums[-1, first[:, None] - k]
+        target_sq = gram[:, 0, 0].copy()
+        cross = gram[:, 0].copy()
+        cross[:, 0] = level[:, 0]
         # swap the target for the intercept: Gram of [1, y(s-1)..y(s-max_lag)]
-        gram[0] = level
         gram[:, 0] = level
-        gram[0, 0] = rows
+        gram[:, :, 0] = level
+        gram[:, 0, 0] = rows
         return _solve(gram, cross, target_sq, rows)
 
 
-def _solve(gram: np.ndarray, cross: np.ndarray, target_sq: float, rows: int) -> ArModel:
-    """Keep the lag minimizing AIC among candidates 1..max_lag.
+def _ridges(gram: np.ndarray):
+    yield from _RIDGES
+    scale = gram.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None]
+    for ridge in _RELATIVE_RIDGES:
+        yield ridge * scale
 
-    All candidates share one Cholesky factorization of the ridge-adjusted
-    normal equations: the factor of each leading block is the leading block
-    of the factor, so a single forward substitution yields every candidate's
-    residual sum (``rss_p = y'y - |forward_solution[:p+1]|^2``) and only the
-    winning lag needs a full solve.
+
+def _solve(
+    gram: np.ndarray, cross: np.ndarray, target_sq: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep, for each of a stack of windows, the lag minimizing AIC among 1..max_lag.
+
+    All candidates of a window share one Cholesky factorization of its
+    ridge-adjusted normal equations: the factor of each leading block is the
+    leading block of the factor, so a single forward substitution yields
+    every candidate's residual sum (``rss_p = y'y - |forward_solution[:p+1]|^2``)
+    and only the winning lag needs a full solve.  numpy's stacked linalg
+    calls factor and solve each matrix on its own, so a window gets the bits
+    it would get alone.  When a stack does not factor with the first ridge,
+    each window walks the ridge steps on its own.
+
+    Returns the lags and the coefficients, intercept first, zero past each lag.
     """
     import numpy as np
 
-    max_lag = gram.shape[0] - 1
-    chol = None
-    for ridge in (_RIDGE, 1e-6, 1e-3, 1.0):
+    count, size = gram.shape[0], gram.shape[1]
+    eye = np.eye(size)
+    for ridge in _ridges(gram):
         try:
-            chol = np.linalg.cholesky(gram + ridge * np.eye(max_lag + 1))
+            chol = np.linalg.cholesky(gram + ridge * eye)
             break
         except np.linalg.LinAlgError:
-            continue
-    if chol is None:  # pragma: no cover - gram is PSD, a ridge always works
+            if count > 1:
+                parts = [
+                    _solve(gram[i : i + 1], cross[i : i + 1], target_sq[i : i + 1], rows[i : i + 1])
+                    for i in range(count)
+                ]
+                return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    else:
         raise np.linalg.LinAlgError("normal equations could not be factorized")
-    forward = np.linalg.solve(chol, cross)
-    explained = np.cumsum(forward * forward)
-    ps = np.arange(1, max_lag + 1)
-    rss = np.maximum(target_sq - explained[ps], 0.0)
-    aic = rows * np.log(np.maximum(rss / rows, 1e-300)) + 2 * (ps + 1)
-    lag = int(ps[np.argmin(aic)])
-    coef = np.linalg.solve(chol[: lag + 1, : lag + 1].T, forward[: lag + 1])
-    return ArModel(lag=lag, coefficients=tuple(float(c) for c in coef))
+    # a stacked right-hand side, which numpy 1.x and 2.x read alike
+    forward = np.linalg.solve(chol, cross[..., None])[..., 0]
+    explained = np.cumsum(forward * forward, axis=1)
+    ps = np.arange(1, size)
+    rss = np.maximum(target_sq[:, None] - explained[:, 1:], 0.0)
+    aic = rows[:, None] * np.log(np.maximum(rss / rows[:, None], 1e-300)) + 2 * (ps + 1)
+    lags = ps[np.argmin(aic, axis=1)]
+    coef = np.zeros((count, size))
+    for lag in sorted(set(lags.tolist())):
+        chosen = lags == lag
+        upper = chol[chosen, : lag + 1, : lag + 1].transpose(0, 2, 1)
+        coef[chosen, : lag + 1] = np.linalg.solve(upper, forward[chosen, : lag + 1, None])[..., 0]
+    return lags, coef
 
 
 def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
@@ -132,7 +177,9 @@ def fit_ar(history: Sequence[float], max_lag: int) -> ArModel:
         raise ValueError(
             f"history must have at least {2 * max_lag + 2} values for max_lag={max_lag}, got {y.size}"
         )
-    return _LaggedSums(y, max_lag).fit(0, y.size, max_lag)
+    lags, coef = _LaggedSums(y, max_lag).fit(np.array([0]), np.array([y.size]), max_lag)
+    lag = int(lags[0])
+    return ArModel(lag=lag, coefficients=tuple(coef[0, : lag + 1].tolist()))
 
 
 def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]:
@@ -151,29 +198,83 @@ def forecast_ar(model: ArModel, history: Sequence[float], h: int) -> list[float]
     return out
 
 
-def _ar_predictor(values: Sequence[float], cfg: DetectorConfig):
+def _forecast_all(
+    y: np.ndarray, t: np.ndarray, lags: np.ndarray, coef: np.ndarray, h: int
+) -> np.ndarray:
+    """``forecast_ar`` of every window ``i`` of ``y`` ending at ``t[i]``, at once.
+
+    Each forecast adds ``coef[0]`` and then the lag terms ``1..lags[i]`` in
+    forecast_ar's order.  With the windows sorted by lag, descending, the
+    ones whose lag reaches ``i`` form a prefix, so lag term ``i`` is added
+    to that prefix only and no term past a window's lag is ever formed.
+    Returns one row of ``h`` values per window.
+    """
+    import numpy as np
+
+    order = np.argsort(-lags, kind="stable")
+    lags = lags[order]
+    top = int(lags[0])
+    # reach[i]: how many windows, in this order, have a lag of at least i
+    reach = np.searchsorted(-lags, -np.arange(top + 1), side="right").tolist()
+    coef = coef[order, : top + 1].T.copy()
+    # row top + j holds step j; the rows above it hold the history, where
+    # rows before a window's own lag are never read
+    buf = np.empty((top + h, lags.size))
+    buf[:top] = y[np.maximum(t[order] - top + np.arange(top)[:, None], 0)]
+    for j in range(h):
+        step = buf[top + j]
+        step[:] = coef[0]
+        for i in range(1, top + 1):
+            n = reach[i]
+            step[:n] += coef[i, :n] * buf[top + j - i, :n]
+    out = np.empty((lags.size, h))
+    out[order] = buf[top:].T
+    return out
+
+
+def _predict_ar(
+    values: Sequence[float], cfg: DetectorConfig, windows: Sequence[Window]
+) -> list[Optional[list[float]]]:
+    """The AR forecast of each window, fitted on its history ``values[lo:t]``.
+
+    Windows are fitted in chunks of at most ``_CHUNK`` that share a
+    ``max_lag``, and all are forecast in one pass.
+    """
     import numpy as np
 
     arr = np.asarray(values, dtype=float)
+    predictions: list[Optional[list[float]]] = [None] * len(windows)
+    fitted = []
+    for i, (t, lo, _) in enumerate(windows):
+        if t - lo < 4:
+            # too short for any regression; hold the mean flat
+            predictions[i] = [float(arr[lo:t].mean())] * cfg.h
+        else:
+            fitted.append(i)
+    if not fitted:
+        return predictions
+    t = np.array([windows[i].t for i in fitted])
+    lo = np.array([windows[i].lo for i in fitted])
+    # a history of n >= 4 values gives n >= 2 * (n // 4) + 2, the fit precondition
+    max_lags = np.minimum(60, (t - lo) // 4)
     # sized to the largest max_lag a window asks for: a history holds at
     # most min(lookback, len) values
     sums = _LaggedSums(arr, min(60, cfg.lookback // 4, arr.size // 4))
-
-    def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
-        history = arr[lo:t]
-        n = history.size
-        if n < 4:
-            # too short for any regression; hold the mean flat
-            return [float(history.mean())] * cfg.h
-        # n >= 4 gives n >= 2 * (n // 4) + 2, the fit precondition
-        model = sums.fit(lo, t, min(60, n // 4))
-        return forecast_ar(model, history, cfg.h)
-
-    return predict_window
+    lags = np.empty(len(fitted), dtype=int)
+    coef = np.zeros((len(fitted), int(max_lags.max()) + 1))
+    for max_lag in sorted(set(max_lags.tolist())):
+        group = np.flatnonzero(max_lags == max_lag)
+        for start in range(0, group.size, _CHUNK):
+            chunk = group[start : start + _CHUNK]
+            lags[chunk], coef[chunk, : max_lag + 1] = sums.fit(lo[chunk], t[chunk], max_lag)
+    for i, forecast in zip(fitted, _forecast_all(arr, t, lags, coef, cfg.h).tolist()):
+        predictions[i] = forecast
+    return predictions
 
 
 def detect_series_ar(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]:
     """Same windows, thresholds and decision as the matching detector, with
     the prediction produced by an AIC-selected autoregression over the
     lookback history."""
-    return _detect_loop(series, cfg, _ar_predictor(series.values, cfg))
+    windows = _plan_windows(series, cfg)
+    return _decide(series, cfg, windows, _predict_ar(series.values, cfg, windows))

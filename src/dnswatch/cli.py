@@ -196,7 +196,10 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
                 f"{f}: minutes {span[0]}-{span[1]} differ from {files[0].name}"
                 f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
             )
-        series[key] = MinuteSeries(key, minutes[0], tuple(values))
+        try:
+            series[key] = MinuteSeries(key, minutes[0], tuple(values))
+        except ValueError as exc:
+            raise ParseError(f"{f}: {exc}") from None
     return series
 
 

@@ -10,6 +10,11 @@ configured cutoff.  The two measures are deliberately complementary: the
 squared error is scale dependent while the cosine is scale invariant, so
 noise that inflates one rarely clears both.
 
+Each series runs in three steps: a plan of every window's history bounds and
+thresholds, which no method changes; the method's prediction for each window,
+or none, given the whole plan so that it may share work across windows; and
+the decision, the same for every method.
+
 Threshold adaptation: the error threshold is the squared logarithm, in base
 ``10 - epsilon``, of the largest count seen so far in the series; the search
 tolerances scale from it with the pattern mean.
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import Tolerance, search
 from .model import FeatureKind, MinuteSeries, SeriesKey
@@ -145,7 +150,40 @@ class WindowFlag:
     cold_start: bool
 
 
-WindowPredictor = Callable[[int, int, ThresholdSet], Optional[Sequence[float]]]
+class Window(NamedTuple):
+    """One evaluation window of a series, as planned before any prediction.
+
+    The pattern is ``values[t - k:t]``, the observed window ``values[t:t + h]``
+    and the history a method predicts from ``values[lo:t]``.
+    """
+
+    t: int
+    lo: int
+    thresholds: ThresholdSet
+
+
+def _plan_windows(series: MinuteSeries, cfg: DetectorConfig) -> list[Window]:
+    """Every evaluation window of a series with its history and thresholds.
+
+    Nothing here depends on the method; the thresholds come from the running
+    maximum of the series, so they do not depend on the lookback either.
+    """
+    values = series.values
+    n = len(values)
+    minimum = cfg.k + cfg.h + 1
+    if n < minimum:
+        raise ValueError(f"series must have at least {minimum} minutes, got {n}")
+    windows: list[Window] = []
+    maxvalue = 0.0
+    scanned = 0
+    for t in range(cfg.k, n - cfg.h + 1, cfg.stride):
+        while scanned < t:
+            if values[scanned] > maxvalue:
+                maxvalue = values[scanned]
+            scanned += 1
+        thr = compute_thresholds(maxvalue, values[t - cfg.k : t], cfg.epsilon)
+        windows.append(Window(t, max(0, t - cfg.lookback), thr))
+    return windows
 
 
 def _zero_runs(values: Sequence[float], k: int) -> tuple[list[int], list[int]]:
@@ -206,48 +244,41 @@ def _predict_all_zero(
     return tuple(a / count for a in acc)
 
 
-def _asm_predictor(values: Sequence[float], cfg: DetectorConfig) -> WindowPredictor:
+def _predict_asm(
+    values: Sequence[float], cfg: DetectorConfig, windows: Sequence[Window]
+) -> list[Optional[tuple[float, ...]]]:
+    """The post-match average of each window, or ``None`` on the cold-start path."""
     k, h = cfg.k, cfg.h
     runs: Optional[tuple[list[int], list[int]]] = None
-
-    def predict_window(lo: int, t: int, thr: ThresholdSet) -> Optional[Sequence[float]]:
-        nonlocal runs
+    predictions: list[Optional[tuple[float, ...]]] = []
+    for t, lo, thr in windows:
         pattern = values[t - k : t]
         # Keyed on the pattern, not on alpha == 0: a subnormal pattern mean
         # also rounds alpha to zero without the pattern being all zero.
         if not any(pattern):
             if runs is None:
                 runs = _zero_runs(values, k)
-            return _predict_all_zero(values, runs, lo, t, k, h)
+            predictions.append(_predict_all_zero(values, runs, lo, t, k, h))
+            continue
         history = values[lo:t]
         starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
-        pred = predict(history, starts, k, h)
-        return pred.values
-
-    return predict_window
+        predictions.append(predict(history, starts, k, h).values)
+    return predictions
 
 
-def _detect_loop(
-    series: MinuteSeries, cfg: DetectorConfig, predictor: WindowPredictor
+def _decide(
+    series: MinuteSeries,
+    cfg: DetectorConfig,
+    windows: Sequence[Window],
+    predictions: Sequence[Optional[Sequence[float]]],
 ) -> list[WindowFlag]:
+    """Flag each window from its prediction, or by the cold-start rule without one."""
     values = series.values
-    n = len(values)
-    minimum = cfg.k + cfg.h + 1
-    if n < minimum:
-        raise ValueError(f"series must have at least {minimum} minutes, got {n}")
     flags: list[WindowFlag] = []
-    maxvalue = 0.0
-    scanned = 0
-    for t in range(cfg.k, n - cfg.h + 1, cfg.stride):
-        while scanned < t:
-            if values[scanned] > maxvalue:
-                maxvalue = values[scanned]
-            scanned += 1
+    for (t, _, thr), predicted in zip(windows, predictions):
         pattern = values[t - cfg.k : t]
         observed = values[t : t + cfg.h]
-        thr = compute_thresholds(maxvalue, pattern, cfg.epsilon)
         minute = series.start_minute + t
-        predicted = predictor(max(0, t - cfg.lookback), t, thr)
         if predicted is None:
             flagged = cold_start_decision(pattern, observed, cfg.cold_start_factor)
             flags.append(WindowFlag(minute, flagged, None, None, True))
@@ -267,7 +298,8 @@ def _detect_loop(
 
 def detect_series(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]:
     """Run match-predict-compare over every evaluation window of a series."""
-    return _detect_loop(series, cfg, _asm_predictor(series.values, cfg))
+    windows = _plan_windows(series, cfg)
+    return _decide(series, cfg, windows, _predict_asm(series.values, cfg, windows))
 
 
 @dataclass(frozen=True)

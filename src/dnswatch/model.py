@@ -9,10 +9,14 @@ safe to share between workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+
+# Counts are integers; below this bound every square and sum the detectors
+# form stays finite.
+MAX_COUNT = 2.0**53
 
 
 class FeatureKind(Enum):
@@ -75,7 +79,8 @@ class MinuteSeries:
 
     ``values[i]`` is the count for epoch minute ``start_minute + i``.  Gaps
     must be zero-filled by the producer; values are stored as floats so that
-    predictions and thresholds share one numeric domain.
+    predictions and thresholds share one numeric domain, and must lie in
+    ``[0, MAX_COUNT)``.
     """
 
     key: SeriesKey
@@ -84,8 +89,8 @@ class MinuteSeries:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if not all(0.0 <= v < math.inf for v in vals):  # also false for nan
-            raise ValueError("minute counts must be finite and non-negative")
+        if not all(0.0 <= v < MAX_COUNT for v in vals):  # also false for nan
+            raise ValueError("minute counts must be non-negative and below 2**53")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

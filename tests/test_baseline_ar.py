@@ -1,12 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnswatch.baseline_ar import ArModel, _ar_predictor, detect_series_ar, fit_ar, forecast_ar
-from dnswatch.detector import DetectorConfig, _detect_loop
+from dnswatch import baseline_ar
+from dnswatch.baseline_ar import ArModel, _predict_ar, detect_series_ar, fit_ar, forecast_ar
+from dnswatch.detector import DetectorConfig, Window, _decide, _plan_windows
 from dnswatch.ingest import aggregate_all
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
@@ -24,18 +26,18 @@ def _ar1(n, coef, seed, sigma=1.0):
     return y
 
 
-def _window_local_predictor(values, cfg):
-    """The AR predictor with every window fitted from its own history alone."""
+def _window_local_predictions(values, cfg, windows):
+    """The AR predictions with every window fitted from its own history alone."""
     arr = np.asarray(values, dtype=float)
 
-    def predict(lo, t, thr):
+    def predict(lo, t):
         history = arr[lo:t]
         n = history.size
         if n < 4:
             return [float(history.mean())] * cfg.h
         return forecast_ar(fit_ar(history, min(60, n // 4)), history, cfg.h)
 
-    return predict
+    return [predict(lo, t) for t, lo, _ in windows]
 
 
 def _bits(flags):
@@ -162,7 +164,8 @@ class TestWholeSeriesSums:
         )
         series = _series([float(c) for c in counts], start=5)
         cfg = DetectorConfig(k=12, h=12, lookback=lookback, stride=stride)
-        reference = _detect_loop(series, cfg, _window_local_predictor(series.values, cfg))
+        windows = _plan_windows(series, cfg)
+        reference = _decide(series, cfg, windows, _window_local_predictions(series.values, cfg, windows))
         assert _bits(detect_series_ar(series, cfg)) == _bits(reference)
 
     @pytest.mark.parametrize("lookback", [48, 200])
@@ -171,8 +174,59 @@ class TestWholeSeriesSums:
         minutes = np.arange(600)
         values = 40.0 + 30.0 * np.sin(minutes * 2 * np.pi / 97) + rng.normal(0.0, 5.0, 600)
         cfg = DetectorConfig(k=12, h=12, lookback=lookback, stride=7)
-        whole = _ar_predictor(values, cfg)
-        local = _window_local_predictor(values, cfg)
-        for t in range(cfg.k, values.size - cfg.h + 1, cfg.stride):
-            lo = max(0, t - lookback)
-            np.testing.assert_allclose(whole(lo, t, None), local(lo, t, None), rtol=1e-9)
+        # AR reads no thresholds
+        windows = [
+            Window(t, max(0, t - lookback), None)
+            for t in range(cfg.k, values.size - cfg.h + 1, cfg.stride)
+        ]
+        whole = _predict_ar(values, cfg, windows)
+        local = _window_local_predictions(values, cfg, windows)
+        for w, l in zip(whole, local):
+            np.testing.assert_allclose(w, l, rtol=1e-9)
+
+
+def _hex(predictions):
+    return [[v.hex() for v in p] for p in predictions]
+
+
+class TestBatchedFit:
+    """Detection fits windows in stacks and forecasts them all at once."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(8, 300),
+        st.integers(1, 30),
+        st.integers(1, 9),
+        st.sampled_from([0, 1, 7, 5000]),
+        st.data(),
+    )
+    def test_predictions_bit_for_bit_as_fit_ar_and_forecast_ar(self, lookback, h, stride, top, data):
+        # The early windows' histories grow, so they fall into several
+        # max_lag groups; the series outlasts the lookback by at least 100
+        # minutes, so the last group spans more than one chunk.  A short
+        # lookback caps the lag below a long h.
+        k = 4
+        cfg = DetectorConfig(k=k, h=h, lookback=max(lookback, k + h), stride=stride)
+        counts = data.draw(
+            st.lists(st.integers(0, top), min_size=cfg.lookback + 100, max_size=cfg.lookback + 200)
+        )
+        values = [float(c) for c in counts]
+        windows = _plan_windows(_series(values), cfg)
+        got = _predict_ar(values, cfg, windows)
+        assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+    def test_chunk_that_does_not_factor_falls_back_per_window(self):
+        # Histories inside the constant stretch give singular normal
+        # equations that a 1e-9 ridge does not make factorable; the windows
+        # around them are noisy, so chunks mix both kinds.
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [rng.integers(0, 50, 200), np.full(300, 1e4), rng.integers(0, 50, 200)]
+        ).astype(float)
+        cfg = DetectorConfig(k=12, h=12, lookback=100, stride=10)
+        windows = _plan_windows(_series(values), cfg)
+        with mock.patch.object(baseline_ar, "_solve", wraps=baseline_ar._solve) as spy:
+            got = _predict_ar(values, cfg, windows)
+        stacks = [call.args[0].shape[0] for call in spy.call_args_list]
+        assert max(stacks) == baseline_ar._CHUNK and stacks.count(1) >= baseline_ar._CHUNK
+        assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))

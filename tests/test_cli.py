@@ -190,6 +190,30 @@ class TestExitCodes:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
 
+    @pytest.mark.parametrize("method", ["asm", "ar"])
+    def test_huge_series_value_exits_2_naming_file(self, tmp_path, capsys, method):
+        # squares of such values overflow, so every window would score nan
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = "\n".join(f"{m},{1e160 + m * 1e145!r}" for m in range(200))
+        (series_dir / "A.csv").write_text("minute,value\n" + rows + "\n")
+        assert run_cli(["detect", "--series-dir", series_dir, "--method", method,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert "A.csv" in err and "2**53" in err
+
+    def test_ar_on_large_constant_counts_exits_0(self, tmp_path):
+        # a Gram near 3e14 rounds away every absolute ridge step
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = "\n".join(f"{m},1000000.0" for m in range(600))
+        (series_dir / "A.csv").write_text("minute,value\n" + rows + "\n")
+        windows = tmp_path / "w.csv"
+        assert run_cli(["detect", "--series-dir", series_dir, "--method", "ar",
+                        "--report", tmp_path / "r.json", "--lookback", "400",
+                        "--emit-windows", windows]) == 0
+        assert "True" not in windows.read_text()
+
     def test_series_without_shared_span_exits_2(self, tmp_path, capsys):
         series_dir = tmp_path / "series"
         series_dir.mkdir()

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from dnswatch import detector
 from dnswatch.detector import (
     DetectorConfig,
+    Window,
     WindowFlag,
-    _asm_predictor,
+    _predict_asm,
     compute_thresholds,
     cosine,
     detect_series,
@@ -200,18 +201,21 @@ class TestAllZeroPatterns:
         h = data.draw(st.integers(1, min(40, n - 1 - k)), label="h")
         lookback = data.draw(st.integers(k + h, n + 10), label="lookback")
         cfg = DetectorConfig(k=k, h=h, lookback=lookback)
-        predict_window = _asm_predictor(values, cfg)
+        windows = []
+        for t in range(k, n - h + 1):
+            pattern = values[t - k : t]
+            if any(pattern):
+                continue
+            lo = max(0, t - lookback)
+            windows.append(Window(t, lo, compute_thresholds(max(values[:t]), pattern, cfg.epsilon)))
         with mock.patch.object(detector, "search", wraps=search) as spy:
-            for t in range(k, n - h + 1):
-                pattern = values[t - k : t]
-                if any(pattern):
-                    continue
-                lo = max(0, t - lookback)
-                thr = compute_thresholds(max(values[:t]), pattern, cfg.epsilon)
-                history = values[lo:t]
-                starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
-                want = predict(history, starts, k, h).values
-                assert _hex(predict_window(lo, t, thr)) == _hex(want), (lo, t)
+            predictions = _predict_asm(values, cfg, windows)
+        for (t, lo, thr), got in zip(windows, predictions):
+            pattern = values[t - k : t]
+            history = values[lo:t]
+            starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
+            want = predict(history, starts, k, h).values
+            assert _hex(got) == _hex(want), (lo, t)
         assert spy.call_count == 0
 
     def test_subnormal_pattern_mean_still_searches(self):
@@ -223,7 +227,7 @@ class TestAllZeroPatterns:
         thr = compute_thresholds(max(values[:10]), pattern, cfg.epsilon)
         assert thr.alpha == 0.0 and thr.beta == 0.0 and any(pattern)
         with mock.patch.object(detector, "search", wraps=search) as spy:
-            assert _asm_predictor(values, cfg)(0, 10, thr) == (2.0, 3.0)
+            assert _predict_asm(values, cfg, [Window(10, 0, thr)])[0] == (2.0, 3.0)
         assert spy.call_count == 1
 
 

@@ -42,3 +42,9 @@ class TestMinuteSeries:
             with pytest.raises(ValueError):
                 _series([1.0, bad])
 
+    def test_counts_must_stay_below_2_53(self):
+        assert _series([2.0**53 - 1]).values == (2.0**53 - 1,)
+        for bad in (2.0**53, 1e160):
+            with pytest.raises(ValueError, match="below 2"):
+                _series([1.0, bad])
+
