@@ -7,22 +7,23 @@ is chosen by AIC over candidates 1..max_lag, all fitted on the same rows
 
 Every fit reads its normal equations off prefix sums of the series and of
 its lagged products ``y(s) * y(s + d)``.  Detection builds them once per
-series, sized to the largest lag any window can choose, ``L =
-min(60, lookback // 4, len // 4)``: that takes ``(L + 2) * (len + 1)``
-floats for one series at a time, and each window then costs O(L^2) however
-long its history.  ``fit_ar`` builds them over its own history and takes the
-same path.  Each window sum is a difference of two prefix sums.  For integer
-counts whose prefix sums stay below 2**53 every sum is exact, so a window
-fits bit for bit as it would from its own history alone.  On other values
-the rounding error grows with the length of the prefix rather than the
-window, most for a short lookback late in a long series.
+series, sized to the largest candidate lag of its windows, ``L``: that takes
+``(L + 2) * (len + 1)`` floats for one series at a time, and each window
+then costs O(L^2) however long its history.  ``fit_ar`` builds them over its
+own history and takes the same path.  Each window sum is a difference of two
+prefix sums.  For integer counts no prefix sum exceeds the total of
+``y**2``: below ``MAX_COUNT`` every sum is exact, and past it every window
+is fitted with ``fit_ar`` alone, so a window fits bit for bit as it would
+from its own history alone.  On other values the rounding error grows with
+the length of the prefix rather than the window, most for a short lookback
+late in a long series.
 
 Detection fits the windows of a series in stacks of at most ``_CHUNK``
 that share a largest candidate lag: one stacked Cholesky factorization and
 one stacked forward solve per stack, and one stacked coefficient solve per
 chosen lag.  numpy factors and solves each matrix of a stack on its own, so
 every window gets the bits it would get alone.  A stack that does not factor
-with the first ridge step is fitted one window at a time.  The stack bound
+with the first ridge step is fitted by ``fit_ar``.  The stack bound
 keeps the memory small: a stack holds up to 8 Gram matrices of 61 x 61
 floats, about 240 KB, plus temporaries of that size.  All windows of a
 series are then forecast together, each in ``forecast_ar``'s order of
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .detector import DetectorConfig, Window, WindowFlag, _decide, _plan_windows
-from .model import MinuteSeries
+from .model import MAX_COUNT, MinuteSeries
 
 # numpy is imported inside the functions that compute with it, so that
 # importing the package, and every command that fits no AR model, skips it.
@@ -78,6 +79,8 @@ class _LaggedSums:
         for d in range(max_lag + 1):
             np.cumsum(y[: n - d] * y[d:], out=self._sums[d, 1 : n - d + 1])
         np.cumsum(y, out=self._sums[-1, 1:])
+        # Every prefix sum of integer counts is exact: none exceeds sum(y**2).
+        self.exact = self._sums[0, n] < MAX_COUNT
         # Over the targets s of a window, entry (a, b) of the lagged products
         # sum(y[s - a] * y[s - b]) lies in row |a - b| at column s - max(a, b);
         # this is its flat offset, to which a window adds its column bound.
@@ -129,8 +132,8 @@ def _solve(
     every candidate's residual sum (``rss_p = y'y - |forward_solution[:p+1]|^2``)
     and only the winning lag needs a full solve.  numpy's stacked linalg
     calls factor and solve each matrix on its own, so a window gets the bits
-    it would get alone.  When a stack does not factor with the first ridge,
-    each window walks the ridge steps on its own.
+    it would get alone.  A single window walks the ridge steps; a larger
+    stack that does not factor with the first ridge raises ``LinAlgError``.
 
     Returns the lags and the coefficients, intercept first, zero past each lag.
     """
@@ -144,11 +147,7 @@ def _solve(
             break
         except np.linalg.LinAlgError:
             if count > 1:
-                parts = [
-                    _solve(gram[i : i + 1], cross[i : i + 1], target_sq[i : i + 1], rows[i : i + 1])
-                    for i in range(count)
-                ]
-                return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+                raise
     else:
         raise np.linalg.LinAlgError("normal equations could not be factorized")
     # a stacked right-hand side, which numpy 1.x and 2.x read alike
@@ -257,16 +256,23 @@ def _predict_ar(
     lo = np.array([windows[i].lo for i in fitted])
     # a history of n >= 4 values gives n >= 2 * (n // 4) + 2, the fit precondition
     max_lags = np.minimum(60, (t - lo) // 4)
-    # sized to the largest max_lag a window asks for: a history holds at
-    # most min(lookback, len) values
-    sums = _LaggedSums(arr, min(60, cfg.lookback // 4, arr.size // 4))
+    top = int(max_lags.max())
+    sums = _LaggedSums(arr, top)
     lags = np.empty(len(fitted), dtype=int)
-    coef = np.zeros((len(fitted), int(max_lags.max()) + 1))
+    coef = np.zeros((len(fitted), top + 1))
     for max_lag in sorted(set(max_lags.tolist())):
         group = np.flatnonzero(max_lags == max_lag)
         for start in range(0, group.size, _CHUNK):
             chunk = group[start : start + _CHUNK]
-            lags[chunk], coef[chunk, : max_lag + 1] = sums.fit(lo[chunk], t[chunk], max_lag)
+            if sums.exact:
+                try:
+                    lags[chunk], coef[chunk, : max_lag + 1] = sums.fit(lo[chunk], t[chunk], max_lag)
+                    continue
+                except np.linalg.LinAlgError:
+                    pass  # the stack does not factor with the first ridge
+            for i in chunk.tolist():
+                model = fit_ar(arr[lo[i] : t[i]], max_lag)
+                lags[i], coef[i, : model.lag + 1] = model.lag, model.coefficients
     for i, forecast in zip(fitted, _forecast_all(arr, t, lags, coef, cfg.h).tolist()):
         predictions[i] = forecast
     return predictions

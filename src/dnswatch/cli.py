@@ -22,7 +22,7 @@ from urllib.parse import quote, unquote
 from .baseline_ar import detect_series_ar
 from .coldstart import ColdStartParams, expected_matches
 from .detector import AnomalyEvent, DetectorConfig, detect_series, score_aggregate
-from .evalharness import confusion, metrics, sweep, sweep_rows_to_csv
+from .evalharness import METHODS, confusion, metrics, sweep, sweep_rows_to_csv
 from .ingest import (
     ParseError,
     parse_events,
@@ -35,6 +35,8 @@ from .model import FeatureKind, MinuteSeries, SeriesKey
 from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
+SERIES_HEADER = "minute,value"
+_DEFAULTS = DetectorConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,12 +61,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=24, help="pattern length in minutes")
+    p.add_argument("--k", type=int, default=_DEFAULTS.k, help="pattern length in minutes")
     p.add_argument("--h", type=int, default=None, help="prediction horizon in minutes (default: k)")
-    p.add_argument("--epsilon", type=float, default=0.1, help="log-base adjustment in [0,1)")
-    p.add_argument("--cos-threshold", type=float, default=0.9, help="similarity cutoff in (0,1]")
+    p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon, help="log-base adjustment in [0,1)")
+    p.add_argument(
+        "--cos-threshold", type=float, default=_DEFAULTS.cos_threshold, help="similarity cutoff in (0,1]"
+    )
     p.add_argument("--stride", type=int, default=None, help="minutes between evaluations (default: h)")
-    p.add_argument("--cold-start-factor", type=float, default=10.0, help="order-of-magnitude factor")
+    p.add_argument(
+        "--cold-start-factor",
+        type=float,
+        default=_DEFAULTS.cold_start_factor,
+        help="order-of-magnitude factor",
+    )
 
 
 def _config_from_args(args: argparse.Namespace, lookback: int) -> DetectorConfig:
@@ -126,12 +135,6 @@ def _series_filename(key: SeriesKey) -> str:
     return f"{key.feature.value}_{quote(key.ip, safe='')}.csv"
 
 
-def _key_from_filename(name: str) -> SeriesKey:
-    stem = name[:-4] if name.endswith(".csv") else name
-    feature, sep, ip = stem.partition("_")
-    return SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     with open(args.events, newline="") as fh:
@@ -150,7 +153,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         s = series[key]
         path = out_dir / _series_filename(key)
         with open(path, "w", newline="") as fh:
-            fh.write("minute,value\n")
+            fh.write(f"{SERIES_HEADER}\n")
             for i, v in enumerate(s.values):
                 fh.write(f"{s.start_minute + i},{v!r}\n")
     print(f"wrote {len(series)} series to {out_dir}")
@@ -164,7 +167,11 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
         raise ParseError(f"no series CSVs found in {path}")
     first_span = None
     for f in files:
-        key = _key_from_filename(f.name)
+        feature, sep, ip = f.stem.partition("_")
+        try:
+            key = SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
+        except ValueError as exc:
+            raise ParseError(f"{f}: {exc}") from None
         # Two names that decode to one key would otherwise overwrite each other.
         canonical = _series_filename(key)
         if canonical != f.name:
@@ -173,7 +180,7 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
         values: list[float] = []
         with open(f, newline="") as fh:
             header = fh.readline().strip()
-            if header != "minute,value":
+            if header != SERIES_HEADER:
                 raise ParseError(f"{f}: bad series header {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -218,7 +225,7 @@ def _event_to_json(ev: AnomalyEvent) -> dict:
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
-    detect = detect_series if args.method == "asm" else detect_series_ar
+    detect = detect_series if args.method == METHODS[0] else detect_series_ar
     flags = {key: detect(series[key], cfg) for key in sorted(series)}
     events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
@@ -345,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run a detector over ingested series", formatter_class=fmt)
     p.add_argument("--series-dir", required=True)
-    p.add_argument("--method", choices=["asm", "ar"], default="asm")
+    p.add_argument("--method", choices=METHODS, default=METHODS[0])
     p.add_argument("--report", required=True, help="output JSON report path")
     p.add_argument("--emit-windows", default=None, help="also write per-window flag CSV here")
-    p.add_argument("--lookback", type=int, default=1440, help="history length in minutes")
+    p.add_argument("--lookback", type=int, default=_DEFAULTS.lookback, help="history length in minutes")
     p.add_argument("--score-threshold", type=int, default=4, help="feature score must exceed this")
     _add_detector_flags(p)
     p.set_defaults(func=_cmd_detect)
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--lookbacks-days", default=DEFAULT_LOOKBACK_DAYS)
     p.add_argument("--score-thresholds", default="4,5")
-    p.add_argument("--methods", default="asm,ar")
+    p.add_argument("--methods", default=",".join(METHODS))
     _add_detector_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

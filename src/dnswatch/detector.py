@@ -69,12 +69,10 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class ThresholdSet:
-    """Adaptive error threshold and the search tolerances derived from it."""
+class ThresholdSet(Tolerance):
+    """Adaptive error threshold, with the search tolerances derived from it."""
 
     error_threshold: float
-    alpha: float
-    beta: float
 
 
 def mse(pred: Sequence[float], observed: Sequence[float]) -> float:
@@ -232,8 +230,6 @@ def _predict_all_zero(
             break
         end = min(ends[r], t)
         top = min(end - k, last)  # latest contributing block start
-        if top < first:
-            continue
         count += (top - first) // k + 1
         # Only blocks starting after end - k - h see minutes past the run.
         summed = first + max(0, (end - k - h - first) // k + 1) * k
@@ -261,7 +257,7 @@ def _predict_asm(
             predictions.append(_predict_all_zero(values, runs, lo, t, k, h))
             continue
         history = values[lo:t]
-        starts = search(history, pattern, Tolerance(thr.alpha, thr.beta))
+        starts = search(history, pattern, thr)
         predictions.append(predict(history, starts, k, h).values)
     return predictions
 
@@ -338,7 +334,7 @@ def score_aggregate(
     triggered: dict[int, set[FeatureKind]] = {}
     worst_mse: dict[int, float] = {}
     worst_cos: dict[int, float] = {}
-    for key in sorted(flags_by_key, key=lambda k: k.label()):
+    for key in sorted(flags_by_key):
         for flag in flags_by_key[key]:
             if not flag.flagged:
                 continue

@@ -115,8 +115,8 @@ def write_ground_truth(stream: IO[str], intervals: Iterable[GroundTruthInterval]
         writer.writerow([iv.start_minute, iv.end_minute, iv.label])
 
 
-def _zero_filled(counts: dict[int, int], lo: int, hi: int) -> tuple[float, ...]:
-    return tuple(float(counts.get(m, 0)) for m in range(lo, hi + 1))
+def _zero_filled(counts: dict[int, int], lo: int, hi: int) -> tuple[int, ...]:
+    return tuple(counts.get(m, 0) for m in range(lo, hi + 1))
 
 
 def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSeries]:

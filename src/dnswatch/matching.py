@@ -117,9 +117,9 @@ class IncrementalMatcher:
     Instead of rebuilding the prefix table after each slide, the pattern
     grows by the new measurement and the oldest elements are treated as
     wildcards that match anything.  The prefix table is extended by a single
-    recurrence step per advance.  Once the grown pattern reaches
-    ``restart_multiple`` times its initial length, the matcher restarts from
-    the most recent ``initial_length`` values with a fresh table.
+    recurrence step per advance.  Once the grown pattern reaches twice its
+    initial length, the matcher restarts from the most recent
+    ``initial_length`` values with a fresh table.
 
     The effective pattern (the non-wildcard suffix) always has
     ``initial_length`` elements between operations.
@@ -130,27 +130,21 @@ class IncrementalMatcher:
     initial_length: int
     tolerance: Tolerance
     prefix_table: tuple[int, ...]
-    restart_multiple: float = 2.0
 
     @property
     def effective_pattern(self) -> tuple[float, ...]:
         return self.grown_pattern[self.ignored_prefix :]
 
 
-def incremental_new(
-    initial: Sequence[float], tol: Tolerance, restart_multiple: float = 2.0
-) -> IncrementalMatcher:
+def incremental_new(initial: Sequence[float], tol: Tolerance) -> IncrementalMatcher:
     if len(initial) == 0:
         raise ValueError("initial pattern must be non-empty")
-    if restart_multiple < 1.0:
-        raise ValueError("restart_multiple must be at least 1")
     return IncrementalMatcher(
         grown_pattern=tuple(float(v) for v in initial),
         ignored_prefix=0,
         initial_length=len(initial),
         tolerance=tol,
         prefix_table=tuple(prefix_function(initial, tol.alpha)),
-        restart_multiple=restart_multiple,
     )
 
 
@@ -163,10 +157,8 @@ def incremental_advance(matcher: IncrementalMatcher, value: float) -> Incrementa
     """Slide the effective pattern forward by one measurement."""
     grown = matcher.grown_pattern + (float(value),)
     ignored = matcher.ignored_prefix + 1
-    if len(grown) >= matcher.restart_multiple * matcher.initial_length:
-        return incremental_new(
-            grown[-matcher.initial_length :], matcher.tolerance, matcher.restart_multiple
-        )
+    if len(grown) >= 2 * matcher.initial_length:
+        return incremental_new(grown[-matcher.initial_length :], matcher.tolerance)
     alpha = matcher.tolerance.alpha
     table = list(matcher.prefix_table)
     # One further step of the prefix recurrence; earlier entries are kept
@@ -182,7 +174,6 @@ def incremental_advance(matcher: IncrementalMatcher, value: float) -> Incrementa
         initial_length=matcher.initial_length,
         tolerance=matcher.tolerance,
         prefix_table=tuple(table),
-        restart_multiple=matcher.restart_multiple,
     )
 
 

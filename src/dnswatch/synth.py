@@ -60,7 +60,7 @@ class SynthProfile:
             raise ValueError("rates must be positive")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
-        horizon = self.days * 1440
+        horizon = self.total_minutes
         for attack in self.attacks:
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:
                 raise ValueError(f"attack at minute {attack.start_minute} outside the horizon")

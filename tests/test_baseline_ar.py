@@ -168,6 +168,19 @@ class TestWholeSeriesSums:
         reference = _decide(series, cfg, windows, _window_local_predictions(series.values, cfg, windows))
         assert _bits(detect_series_ar(series, cfg)) == _bits(reference)
 
+    # Past 2**53 the whole-series differences round once the counts drop
+    # below 50: squares near 2**52 shift the fits, near 2**104 they leave
+    # no normal equations that factor.
+    @pytest.mark.parametrize("high", [2**26, 2**52])
+    def test_sums_past_max_count_fit_every_window_alone(self, high):
+        rng = np.random.default_rng(3)
+        counts = np.concatenate([high + rng.integers(0, 2**10, 100), rng.integers(0, 50, 300)])
+        series = _series(counts.astype(float).tolist(), start=1000)
+        cfg = DetectorConfig(lookback=48)
+        windows = _plan_windows(series, cfg)
+        reference = _decide(series, cfg, windows, _window_local_predictions(series.values, cfg, windows))
+        assert _bits(detect_series_ar(series, cfg)) == _bits(reference)
+
     @pytest.mark.parametrize("lookback", [48, 200])
     def test_non_integer_values_agree_within_rtol(self, lookback):
         rng = np.random.default_rng(11)
@@ -194,23 +207,32 @@ class TestBatchedFit:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.integers(8, 300),
+        st.integers(2, 300),
         st.integers(1, 30),
         st.integers(1, 9),
+        st.integers(1, 4),
         st.sampled_from([0, 1, 7, 5000]),
         st.data(),
     )
-    def test_predictions_bit_for_bit_as_fit_ar_and_forecast_ar(self, lookback, h, stride, top, data):
+    def test_predictions_bit_for_bit_as_fit_ar_and_forecast_ar(self, lookback, h, stride, k, top, data):
         # The early windows' histories grow, so they fall into several
         # max_lag groups; the series outlasts the lookback by at least 100
         # minutes, so the last group spans more than one chunk.  A short
-        # lookback caps the lag below a long h.
-        k = 4
+        # lookback caps the lag below a long h.  With k below 4 the first
+        # windows' histories are too short to fit and hold the mean flat.
         cfg = DetectorConfig(k=k, h=h, lookback=max(lookback, k + h), stride=stride)
         counts = data.draw(
             st.lists(st.integers(0, top), min_size=cfg.lookback + 100, max_size=cfg.lookback + 200)
         )
         values = [float(c) for c in counts]
+        windows = _plan_windows(_series(values), cfg)
+        got = _predict_ar(values, cfg, windows)
+        assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+    def test_no_window_fitted_holds_every_mean_flat(self):
+        # a lookback of 3 leaves every history too short for a regression
+        cfg = DetectorConfig(k=1, h=1, lookback=3)
+        values = [float(c) for c in np.random.default_rng(2).integers(0, 50, 40)]
         windows = _plan_windows(_series(values), cfg)
         got = _predict_ar(values, cfg, windows)
         assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))

@@ -298,6 +298,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "C_10.0.0%2E1.csv: series C:10.0.0.1 is stored as C_10.0.0.1.csv" in err
 
+    @pytest.mark.parametrize("name, message", [
+        ("C.csv", "feature C requires an ip"),
+        ("A_1.2.3.4.csv", "feature A takes no ip"),
+        ("X.csv", "unknown feature in series label 'X'"),
+    ])
+    def test_series_file_name_that_does_not_decode_exits_2_naming_file(
+        self, tmp_path, capsys, name, message
+    ):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = "minute,value\n" + "\n".join(f"{m},1.0" for m in range(60)) + "\n"
+        (series_dir / name).write_text(rows)
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        assert f"{series_dir / name}: {message}" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "dnswatch", "ingest", "--events",
