@@ -37,11 +37,13 @@ from .ingest import (
 )
 from .matching import (
     IncrementalMatcher,
+    RankIndex,
     Tolerance,
     incremental_advance,
     incremental_new,
     incremental_search,
     prefix_function,
+    scan,
     search,
     total_error,
 )

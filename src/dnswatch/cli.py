@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 from urllib.parse import quote, unquote
@@ -160,6 +161,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_row(f: Path, lines: Sequence[str], lineno: int) -> ParseError:
+    """The error naming the first row that does not parse, in a block of
+    lines of a series file that starts at line ``lineno``."""
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        m_raw, _, v_raw = line.partition(",")
+        try:
+            int(m_raw)
+            float(v_raw)
+        except ValueError:
+            return ParseError(f"{f} line {lineno}: bad row {line!r}")
+    raise AssertionError(f"{f}: every row parses")
+
+
 def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
     series: dict[SeriesKey, MinuteSeries] = {}
     files = sorted(Path(path).glob("*.csv"))
@@ -178,20 +195,24 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
             raise ParseError(f"{f}: series {key.label()} is stored as {canonical}, not {f.name}")
         minutes: list[int] = []
         values: list[float] = []
-        with open(f, newline="") as fh:
+        # Universal newlines: "\r\n" and "\r" end a line, as "\n" does.
+        with open(f) as fh:
             header = fh.readline().strip()
             if header != SERIES_HEADER:
                 raise ParseError(f"{f}: bad series header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                m_raw, _, v_raw = line.partition(",")
-                try:
-                    minutes.append(int(m_raw))
-                    values.append(float(v_raw))
-                except ValueError:
-                    raise ParseError(f"{f} line {lineno}: bad row {line!r}") from None
+            lineno = 2
+            # A block of lines at a time: lists of a whole file's rows would
+            # raise peak memory by about a megabyte per 4,320-minute series.
+            while lines := fh.readlines(1 << 13):
+                rows = list(filter(None, map(str.strip, lines)))  # blank lines dropped
+                if rows:
+                    m_raw, _, v_raw = zip(*map(str.partition, rows, repeat(",")))
+                    try:
+                        minutes += map(int, m_raw)
+                        values += map(float, v_raw)
+                    except ValueError:
+                        raise _bad_row(f, lines, lineno) from None
+                lineno += len(lines)
         if not values:
             raise ParseError(f"{f}: empty series")
         if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
@@ -266,6 +287,11 @@ def _load_report(path: str) -> list[AnomalyEvent]:
                     f"{path}: report item {i} key {name!r} must be of type"
                     f" {kind.__name__}, got {value!r}"
                 )
+        if fields["end_minute"] < fields["start_minute"]:
+            raise ParseError(
+                f"{path}: report item {i} end_minute {fields['end_minute']}"
+                f" before start_minute {fields['start_minute']}"
+            )
         fields["features"] = frozenset(FeatureKind(v) for v in fields["features"])
         events.append(AnomalyEvent(**fields))
     return events

@@ -13,7 +13,9 @@ noise that inflates one rarely clears both.
 Each series runs in three steps: a plan of every window's history bounds and
 thresholds, which no method changes; the method's prediction for each window,
 or none, given the whole plan so that it may share work across windows; and
-the decision, the same for every method.
+the decision, the same for every method.  The matching method shares one
+rank index of the series (see :mod:`dnswatch.matching`) and scans each
+window's history in place.
 
 Threshold adaptation: the error threshold is the squared logarithm, in base
 ``10 - epsilon``, of the largest count seen so far in the series; the search
@@ -27,7 +29,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .matching import Tolerance, search
+# The loop calls scan, not search; search stays a name of this module because
+# the benchmark's tracer (perfbench/child.py) wraps detector.search by name.
+from .matching import RankIndex, Tolerance, scan, search  # noqa: F401
 from .model import FeatureKind, MinuteSeries, SeriesKey
 from .predictor import cold_start_decision, predict
 
@@ -246,6 +250,7 @@ def _predict_asm(
     """The post-match average of each window, or ``None`` on the cold-start path."""
     k, h = cfg.k, cfg.h
     runs: Optional[tuple[list[int], list[int]]] = None
+    index: Optional[RankIndex] = None
     predictions: list[Optional[tuple[float, ...]]] = []
     for t, lo, thr in windows:
         pattern = values[t - k : t]
@@ -256,9 +261,13 @@ def _predict_asm(
                 runs = _zero_runs(values, k)
             predictions.append(_predict_all_zero(values, runs, lo, t, k, h))
             continue
-        history = values[lo:t]
-        starts = search(history, pattern, thr)
-        predictions.append(predict(history, starts, k, h).values)
+        if index is None:
+            index = RankIndex(values)
+        # Only matches whose next h minutes end by t contribute.  The scan
+        # runs left to right, so those are exactly the matches it finds in
+        # [lo, t - h): the minutes after t - h change none of them.
+        starts = scan(index, pattern, thr, lo, max(lo, t - h))
+        predictions.append(predict(values, starts, k, h).values)
     return predictions
 
 

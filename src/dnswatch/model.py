@@ -88,7 +88,7 @@ class MinuteSeries:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))  # floats pass through as they are
         if not all(0.0 <= v < MAX_COUNT for v in vals):  # also false for nan
             raise ValueError("minute counts must be non-negative and below 2**53")
         object.__setattr__(self, "values", vals)

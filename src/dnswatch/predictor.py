@@ -10,6 +10,7 @@ drops the pattern's own occurrence at the tail of the history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 
@@ -40,9 +41,7 @@ def predict(
         return COLD_START
     values = [0.0] * h
     for s in contributors:
-        base = s + k
-        for i in range(h):
-            values[i] += text[base + i]
+        values = list(map(add, values, text[s + k : s + k + h]))
     n = len(contributors)
     return Prediction(values=tuple(v / n for v in values), contributor_count=n)
 

@@ -253,6 +253,15 @@ class TestExitCodes:
         assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
         assert message in capsys.readouterr().err
 
+    def test_report_event_ending_before_it_starts_exits_2(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps([{"key": "aggregate", "start_minute": 50, "end_minute": 10,
+                                     "mse": 0.0, "cosine": None, "features": ["C"], "score": 4}]))
+        assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
+        assert f"{path}: report item 0 end_minute 10 before start_minute 50" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows, message", [
         (["60,a,b,tx,0", "inf,a,b,tx,0"], "line 3: infinite timestamp 'inf'"),
         (["60,a,b,tx,0", f"{60 * (1 + MAX_SPAN_MINUTES)},a,b,tx,0"],
@@ -321,6 +330,61 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert out.returncode == 2
+
+
+class TestSeriesLoader:
+    def _write(self, tmp_path, text, name="A.csv"):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir(exist_ok=True)
+        (series_dir / name).write_bytes(text.encode())
+        return series_dir
+
+    def test_blank_lines_and_whitespace_around_fields_are_accepted(self, tmp_path):
+        text = (
+            " minute,value \r\n"
+            "\n"
+            "7,1.5\r\n"
+            "  8 , 2.0  \n"
+            "\t\n"
+            "9,\t3\r"
+            "10 ,4.25\x1c\n"
+            "   \n"
+            "11,0\n"
+            "\n"
+        )
+        series = _load_series_dir(str(self._write(tmp_path, text)))
+        s = series[SeriesKey(FeatureKind.A_TOTAL_PACKETS)]
+        assert s.start_minute == 7
+        assert s.values == (1.5, 2.0, 3.0, 4.25, 0.0)
+
+    @pytest.mark.parametrize("row", ["9", "9,", ",3.0", "9,3.0,1", "x,3.0", "9,abc", "9;3.0"])
+    def test_bad_row_is_named_by_its_line_number(self, tmp_path, capsys, row):
+        series_dir = self._write(tmp_path, f"minute,value\n7,1.0\n\n  \n8,2.0\n {row} \n10,4.0\n")
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert f"{series_dir / 'A.csv'} line 6: bad row {row!r}" in err
+
+    def test_bad_row_deep_in_a_long_file_is_named_by_its_line_number(self, tmp_path, capsys):
+        # Rows of several blocks, some lines blank, the bad row far from the first.
+        lines = [f"{m},{m % 7}.5" if m % 11 else "" for m in range(5000)]
+        lines[3333] = "3333,x"
+        series_dir = self._write(tmp_path, "minute,value\n" + "\n".join(lines) + "\n")
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        assert f"{series_dir / 'A.csv'} line 3335: bad row '3333,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("minute,count\n0,1.0\n", "bad series header 'minute,count'"),
+        ("minute,value\n\n \n", "empty series"),
+        ("minute,value\n0,1.0\n2,1.0\n", "minutes are not contiguous"),
+        ("minute,value\n0,1.0\n1,-1.0\n", "minute counts must be non-negative and below 2**53"),
+    ], ids=["header", "empty", "gap", "negative"])
+    def test_rejected_series_file_is_named(self, tmp_path, capsys, text, message):
+        series_dir = self._write(tmp_path, text)
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        assert f"{series_dir / 'A.csv'}: {message}" in capsys.readouterr().err
 
 
 class TestExpect:

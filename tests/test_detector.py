@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from dnswatch.detector import (
     score_aggregate,
 )
 from dnswatch.ingest import aggregate_all
-from dnswatch.matching import Tolerance, search
+from dnswatch.matching import Tolerance, scan, search
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.predictor import predict
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
@@ -208,7 +209,7 @@ class TestAllZeroPatterns:
                 continue
             lo = max(0, t - lookback)
             windows.append(Window(t, lo, compute_thresholds(max(values[:t]), pattern, cfg.epsilon)))
-        with mock.patch.object(detector, "search", wraps=search) as spy:
+        with mock.patch.object(detector, "scan", wraps=scan) as spy:
             predictions = _predict_asm(values, cfg, windows)
         for (t, lo, thr), got in zip(windows, predictions):
             pattern = values[t - k : t]
@@ -226,9 +227,33 @@ class TestAllZeroPatterns:
         pattern = values[8:10]
         thr = compute_thresholds(max(values[:10]), pattern, cfg.epsilon)
         assert thr.alpha == 0.0 and thr.beta == 0.0 and any(pattern)
-        with mock.patch.object(detector, "search", wraps=search) as spy:
+        with mock.patch.object(detector, "scan", wraps=scan) as spy:
             assert _predict_asm(values, cfg, [Window(10, 0, thr)])[0] == (2.0, 3.0)
         assert spy.call_count == 1
+
+
+class TestScannedPatterns:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_in_place_scan_matches_search_and_predict(self, seed, data):
+        # Counts from a few levels, so that matches are common, over series
+        # long enough for the scan to skip; h may exceed k and the lookback.
+        rng = random.Random(seed)
+        levels = [float(rng.randint(0, 30)) for _ in range(rng.randint(1, 6))]
+        n = data.draw(st.integers(40, 1500), label="n")
+        values = tuple(rng.choice(levels) for _ in range(n))
+        k = data.draw(st.integers(1, 30), label="k")
+        h = data.draw(st.integers(1, 40), label="h")
+        if n < k + h + 1:
+            values += (1.0,) * (k + h + 1 - n)
+        lookback = data.draw(st.integers(k + h, 1200), label="lookback")
+        cfg = DetectorConfig(k=k, h=h, lookback=lookback)
+        windows = [w for w in detector._plan_windows(_series(values), cfg)
+                   if any(values[w.t - k : w.t])]
+        for (t, lo, thr), got in zip(windows, _predict_asm(values, cfg, windows)):
+            history = values[lo:t]
+            starts = search(history, values[t - k : t], Tolerance(thr.alpha, thr.beta))
+            assert _hex(got) == _hex(predict(history, starts, k, h).values), (lo, t)
 
 
 class TestDetectorConfig:
