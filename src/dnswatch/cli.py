@@ -305,6 +305,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ends = [iv.end_minute for iv in truth] + [ev.end_minute for ev in events]
     start = args.timeline_start if args.timeline_start is not None else (min(bounds) if bounds else 0)
     end = args.timeline_end if args.timeline_end is not None else (max(ends) + 1 if ends else 1)
+    if start >= end:
+        raise ParseError(f"timeline [{start}, {end}) is empty: its start must be before its end")
     counts = confusion(events, truth, (start, end), args.window)
     m = metrics(counts)
     payload = {

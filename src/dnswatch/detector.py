@@ -15,7 +15,9 @@ thresholds, which no method changes; the method's prediction for each window,
 or none, given the whole plan so that it may share work across windows; and
 the decision, the same for every method.  The matching method shares one
 rank index of the series (see :mod:`dnswatch.matching`) and scans each
-window's history in place.
+window's history in place; a window whose pattern is all zero is not
+scanned but answered from the series' zero runs, found by one regex over a
+zero mask of the series.
 
 Threshold adaptation: the error threshold is the squared logarithm, in base
 ``10 - epsilon``, of the largest count seen so far in the series; the search
@@ -25,8 +27,10 @@ tolerances scale from it with the pattern mean.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 # The loop calls scan, not search; search stays a name of this module because
@@ -128,7 +132,9 @@ def compute_thresholds(maxvalue: float, pattern: Sequence[float], epsilon: float
         err = 1.0
     else:
         err = (math.log(maxvalue) / math.log(base)) ** 2
-    mean_p = sum(pattern) / len(pattern)
+    # A left fold, not sum(), which compensates from Python 3.12 on and so
+    # would give other bits there.
+    mean_p = reduce(add, pattern, 0.0) / len(pattern)
     return ThresholdSet(
         error_threshold=err,
         alpha=err * (1.0 + epsilon) * mean_p / len(pattern),
@@ -188,35 +194,11 @@ def _plan_windows(series: MinuteSeries, cfg: DetectorConfig) -> list[Window]:
     return windows
 
 
-def _zero_runs(values: Sequence[float], k: int) -> tuple[list[int], list[int]]:
-    """Starts and ends (exclusive) of the maximal zero runs at least ``k`` long."""
-    starts: list[int] = []
-    ends: list[int] = []
-    run_start = None
-    for i, v in enumerate(values):
-        if not v:
-            if run_start is None:
-                run_start = i
-            continue
-        if run_start is not None and i - run_start >= k:
-            starts.append(run_start)
-            ends.append(i)
-        run_start = None
-    if run_start is not None and len(values) - run_start >= k:
-        starts.append(run_start)
-        ends.append(len(values))
-    return starts, ends
-
-
 def _predict_all_zero(
-    values: Sequence[float],
-    runs: tuple[list[int], list[int]],
-    lo: int,
-    t: int,
-    k: int,
-    h: int,
+    values: Sequence[float], zero: bytes, lo: int, t: int, k: int, h: int
 ) -> Optional[tuple[float, ...]]:
-    """What ``search`` + ``predict`` give for an all-zero pattern, read off the runs.
+    """What ``search`` + ``predict`` give for an all-zero pattern, read off
+    ``zero``, the series with a zero byte for each zero minute.
 
     The tolerances are then zero, so the scan accepts exactly the greedy
     blocks of ``k`` zeros of each zero run clipped to ``[lo, t)``.  A block
@@ -224,15 +206,13 @@ def _predict_all_zero(
     run add only zeros, which leave every partial sum unchanged, so only the
     blocks whose next minutes cross the run's end are summed, in scan order.
     """
-    starts, ends = runs
     last = t - k - h  # latest start with a complete following window
     count = 0
     acc = [0.0] * h
-    for r in range(bisect_left(ends, lo + k), len(ends)):
-        first = max(starts[r], lo)
+    for run in re.compile(rb"\x00{%d,}" % k).finditer(zero, lo, t):
+        first, end = run.span()
         if first > last:
             break
-        end = min(ends[r], t)
         top = min(end - k, last)  # latest contributing block start
         count += (top - first) // k + 1
         # Only blocks starting after end - k - h see minutes past the run.
@@ -249,7 +229,7 @@ def _predict_asm(
 ) -> list[Optional[tuple[float, ...]]]:
     """The post-match average of each window, or ``None`` on the cold-start path."""
     k, h = cfg.k, cfg.h
-    runs: Optional[tuple[list[int], list[int]]] = None
+    zero: Optional[bytes] = None
     index: Optional[RankIndex] = None
     predictions: list[Optional[tuple[float, ...]]] = []
     for t, lo, thr in windows:
@@ -257,9 +237,9 @@ def _predict_asm(
         # Keyed on the pattern, not on alpha == 0: a subnormal pattern mean
         # also rounds alpha to zero without the pattern being all zero.
         if not any(pattern):
-            if runs is None:
-                runs = _zero_runs(values, k)
-            predictions.append(_predict_all_zero(values, runs, lo, t, k, h))
+            if zero is None:
+                zero = bytes(map(bool, values))  # any()'s test, so -0.0 is zero
+            predictions.append(_predict_all_zero(values, zero, lo, t, k, h))
             continue
         if index is None:
             index = RankIndex(values)

@@ -133,11 +133,8 @@ class RankIndex:
 # Spans shorter than this are stepped element by element: marking them costs
 # about as much as stepping them.
 _SKIP_SPAN = 512
-# One regex search costs about as much as stepping this many elements; the
-# searches of a scan stop once they have cost more than they skipped, less a
-# grace of eight searches.
-_FIND_COST = 12
-# Elements copied for the first slice stepped after a search.
+# Elements copied for each slice stepped after a search; the state is checked
+# again after each slice.
 _STEP_SLICE = 32
 # The mark of an element is 1 when it is close to pattern[0], plus 2 when it
 # is close to pattern[1].
@@ -186,7 +183,6 @@ def scan(index: RankIndex, pattern: Sequence[float], tol: Tolerance, lo: int, hi
     if hi - lo >= _SKIP_SPAN and index.codes is not None:
         marks, regex = _state0_marks(index, pat, alpha, lo, hi)
         find = regex.search
-        credit = 8 * _FIND_COST  # elements skipped less the searches' cost
     pi = None
     out: list[int] = []
     # Positions count from lo, as in marks, so that short spans use only
@@ -200,14 +196,10 @@ def scan(index: RankIndex, pattern: Sequence[float], tol: Tolerance, lo: int, hi
                 found = find(marks, i)
                 if found is None:
                     break
-                credit += found.start() - i - _FIND_COST
-                i = begun = found.start()
-            # State 0 usually returns within a few elements, so the slice
-            # stepped is short at first and doubles while the state holds.
-            stop = min(span, i + max(_STEP_SLICE, i - begun))
-            if credit < 0:
-                find = None
-                stop = span
+                i = found.start()
+            # State 0 usually returns within a few elements, so only a short
+            # slice is copied before the state is checked again.
+            stop = min(span, i + _STEP_SLICE)
         if pi is None:
             pi = prefix_function(pat, alpha)
         # Hot loop: local names only, abs() unrolled to a branch.  With a

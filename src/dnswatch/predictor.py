@@ -10,6 +10,7 @@ drops the pattern's own occurrence at the tail of the history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 from typing import Optional, Sequence
 
@@ -60,6 +61,7 @@ def cold_start_decision(
         raise ValueError("pattern and observed window must be non-empty")
     if factor <= 0:
         raise ValueError("factor must be positive")
-    mean_obs = sum(observed) / len(observed)
-    mean_pat = sum(pattern) / len(pattern)
+    # Left folds, not sum(), which compensates from Python 3.12 on.
+    mean_obs = reduce(add, observed, 0.0) / len(observed)
+    mean_pat = reduce(add, pattern, 0.0) / len(pattern)
     return mean_obs >= factor * max(mean_pat, 1.0)

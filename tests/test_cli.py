@@ -332,6 +332,46 @@ class TestExitCodes:
         assert out.returncode == 2
 
 
+class TestEvalTimeline:
+    # One truth interval at minutes 100-119 and one reported event at 300-309,
+    # so the default timeline is [100, 310).
+    @pytest.fixture
+    def files(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n100,119,attack\n")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps([{"key": "aggregate", "start_minute": 300,
+                                       "end_minute": 309, "mse": 1.0, "cosine": 0.5,
+                                       "features": ["A", "C"], "score": 5}]))
+        return ["eval", "--report", report, "--truth", truth, "--format", "json"]
+
+    @pytest.mark.parametrize("flags, tn", [
+        # Buckets of 24 from 100: 9, of which [100, 123] and [292, 309] are busy.
+        ([], 7),
+        # Buckets of 10 from 100: 21, of which 100, 110 and 300 are busy.
+        (["--window", "10"], 18),
+        # Buckets of 50 over [0, 400): 8, of which 100 and 300 are busy.
+        (["--window", "50", "--timeline-start", "0", "--timeline-end", "400"], 6),
+        # Buckets of 24 over [200, 310): 5, of which [296, 309] is busy.
+        (["--timeline-start", "200"], 4),
+        # Buckets of 24 over [100, 200): 5, of which [100, 123] is busy.
+        (["--timeline-end", "200"], 4),
+    ], ids=["defaults", "window", "both-ends", "start", "end"])
+    def test_flags_set_the_true_negative_buckets(self, files, capsys, flags, tn):
+        assert run_cli(files + flags) == 0
+        counts = json.loads(capsys.readouterr().out)
+        assert (counts["tp"], counts["fp"], counts["fn"], counts["tn"]) == (0, 1, 1, tn)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--timeline-start", "100000", "--timeline-end", "50"], "timeline [100000, 50) is empty"),
+        (["--timeline-start", "400"], "timeline [400, 310) is empty"),
+        (["--timeline-end", "100"], "timeline [100, 100) is empty"),
+    ], ids=["reversed", "start-after-default-end", "end-at-default-start"])
+    def test_empty_timeline_exits_2_naming_both_ends(self, files, capsys, flags, message):
+        assert run_cli(files + flags) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSeriesLoader:
     def _write(self, tmp_path, text, name="A.csv"):
         series_dir = tmp_path / "series"

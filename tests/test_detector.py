@@ -103,6 +103,12 @@ class TestComputeThresholds:
         with pytest.raises(ValueError):
             compute_thresholds(10.0, [], 0.1)
 
+    def test_pattern_mean_is_a_left_fold_on_every_python(self):
+        # The builtin sum() compensates from Python 3.12 on and would give
+        # ...839p-5 here; a left fold gives the same bits on every version.
+        thr = compute_thresholds(50.0, [0.1] * 10, 0.1)
+        assert thr.alpha.hex() == "0x1.0664d02c3f838p-5"
+
 
 class TestDetectSeries:
     def test_constant_series_never_flags(self):

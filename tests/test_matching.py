@@ -109,7 +109,7 @@ def _scan_cases(draw):
     planted in it, a tolerance whose alpha often equals the distance between
     two levels, and a span ``[lo, hi)`` of the text."""
     levels = draw(_LEVELS, label="levels")
-    # Patterns beyond 32 elements outlast the first slice stepped after a skip.
+    # Patterns beyond 32 elements outlast the slice stepped after a search.
     m = draw(st.integers(1, 12) | st.integers(30, 50), label="m")
     pattern = draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m), label="pattern")
     n = draw(st.sampled_from([m, 40, 600, 3000, 6000]), label="n")
@@ -153,6 +153,22 @@ class TestScan:
         tol = Tolerance(1.0, 12.0)
         for lo, hi in [(0, 5000), (1000, 2000), (1999, 4100), (4400, 5000), (0, 600)]:
             want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
+            assert scan(index, pattern, tol, lo, hi) == want
+
+    @pytest.mark.parametrize("m", [4, 40])
+    def test_dense_candidates_stop_at_the_span_end(self, m):
+        # Every minute is close to pattern[0] and pattern[1], so each search
+        # finds the next minute and the scan steps slice after slice, one
+        # pattern of 40 across several slices; the text goes on past hi.
+        rng = random.Random(2024)
+        text = tuple(rng.choice([0.5, 1.0, 1.5, 2.0]) for _ in range(3000))
+        pattern = [1.0, 1.5] + [rng.choice([1.0, 1.5, 2.0]) for _ in range(m - 2)]
+        # Some windows close in every minute still fail beta.
+        tol = Tolerance(1.0, 0.6 * m)
+        index = RankIndex(text)
+        for lo, hi in [(0, 2990), (100, 2100), (7, 2999)]:
+            want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
+            assert want
             assert scan(index, pattern, tol, lo, hi) == want
 
     @pytest.mark.parametrize("lo, hi", [(-1, 5), (3, 2), (0, 11)])

@@ -70,6 +70,13 @@ class TestColdStartDecision:
         assert cold_start_decision([0.0] * 5, [5.0] * 5, 10.0) is False
         assert cold_start_decision([0.0] * 5, [10.0] * 5, 10.0) is True
 
+    def test_means_are_left_folds_on_every_python(self):
+        # A left fold of ten 0.1s is just below 1 and of ten 1.1s just below
+        # 11; the builtin sum() compensates from Python 3.12 on and would
+        # give 1 and 11, turning both answers round.
+        assert cold_start_decision([0.0], [0.1] * 10, 0.1) is False
+        assert cold_start_decision([1.1] * 10, [1.0999999999999999], 1.0) is True
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             cold_start_decision([], [1.0], 10.0)
