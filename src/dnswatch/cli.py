@@ -17,7 +17,7 @@ import json
 import sys
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
@@ -327,15 +327,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(flag: str, text: str, convert: Callable[[str], int]) -> list[int]:
+    """The comma-separated items of a grid flag, each converted."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(convert(item))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{flag}: bad item {item!r}") from None
+    return items
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    lookbacks = _grid("--lookbacks-days", args.lookbacks_days, lambda d: round(float(d) * 1440))
+    thresholds = _grid("--score-thresholds", args.score_thresholds, int)
+    methods = args.methods.split(",")
+    cfg = _config_from_args(args, max(lookbacks))
     with open(args.events, newline="") as fh:
         series = aggregate_all(parse_events(fh))
     with open(args.truth, newline="") as fh:
         truth = parse_ground_truth(fh)
-    lookbacks = [round(float(d) * 1440) for d in args.lookbacks_days.split(",")]
-    thresholds = [int(s) for s in args.score_thresholds.split(",")]
-    methods = args.methods.split(",")
-    cfg = _config_from_args(args, max(lookbacks))
     rows = sweep(series, truth, cfg, lookbacks, thresholds, methods)
     with open(args.out, "w", newline="") as fh:
         fh.write(sweep_rows_to_csv(rows))
@@ -346,7 +357,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_expect(args: argparse.Namespace) -> int:
     params = ColdStartParams(l=args.l, k=args.k, d=args.d, alpha=args.alpha, beta=args.beta)
     value = expected_matches(params, args.mode)
-    print(f"{float(value):.4f}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError("these --l, --k, --d, --alpha and --beta overflow a float") from None
+    print(f"{value:.4f}")
     return 0
 
 
@@ -424,6 +439,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OverflowError, OSError) as exc:
         print(f"dnswatch: {exc}", file=sys.stderr)
         return 2

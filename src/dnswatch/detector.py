@@ -72,8 +72,8 @@ class DetectorConfig:
             raise ValueError("epsilon must lie in [0, 1)")
         if not 0.0 < self.cos_threshold <= 1.0:
             raise ValueError("cos_threshold must lie in (0, 1]")
-        if self.cold_start_factor <= 0:
-            raise ValueError("cold_start_factor must be positive")
+        if not 0.0 < self.cold_start_factor < math.inf:
+            raise ValueError("cold_start_factor must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def _predict_asm(
     """The post-match average of each window, or ``None`` on the cold-start path."""
     k, h = cfg.k, cfg.h
     zero: Optional[bytes] = None
-    index: Optional[RankIndex] = None
+    index = RankIndex(values)  # levels and codes are built on its first long scan
     predictions: list[Optional[tuple[float, ...]]] = []
     for t, lo, thr in windows:
         pattern = values[t - k : t]
@@ -241,8 +241,6 @@ def _predict_asm(
                 zero = bytes(map(bool, values))  # any()'s test, so -0.0 is zero
             predictions.append(_predict_all_zero(values, zero, lo, t, k, h))
             continue
-        if index is None:
-            index = RankIndex(values)
         # Only matches whose next h minutes end by t contribute.  The scan
         # runs left to right, so those are exactly the matches it finds in
         # [lo, t - h): the minutes after t - h change none of them.

@@ -27,18 +27,21 @@ scan calls ``x`` close to ``p`` when ``fl(x - p)`` lies in
 ``[-alpha, alpha]``, and correctly rounded subtraction is monotone in ``x``,
 so the levels close to ``p`` form one contiguous run of ranks; two
 bisections over the levels find it.  A 256-byte table then marks each byte
-close to ``P[0]`` and each close to ``P[1]``, ``bytes.translate`` marks the
-scanned span, and one regex compiled at import finds the next element that
-is close to ``P[0]`` and followed by one close to ``P[1]``.  The lookahead is
-exact because ``pi[0] == 0``: state 1 failing at ``P[1]`` falls back to state
-0 and compares that same element with ``P[0]``, just as a scan that never
-left state 0 would.  From each element found, the KMP steps, prefix-table
+close to ``P[0]`` and each close to ``P[1]`` (every byte, for a pattern of
+one), ``bytes.translate`` marks the scanned span, and one regex compiled at
+import finds the next element close to ``P[0]`` that is followed by one
+close to ``P[1]`` or ends the span.  The lookahead is exact because
+``pi[0] == 0``: state 1 failing at ``P[1]`` falls back to state 0 and
+compares that same element with ``P[0]``, just as a scan that never left
+state 0 would.  From each element found, the KMP steps, prefix-table
 fallbacks and beta check run as they always did until the state is back at
 0.  With buckets the marks cover a superset of the close elements, which
 only costs steps: a stepped element that does not advance the state leaves
 it at 0.  The index costs one byte per element plus the sorted levels, and
-``O(n log L)`` to build once per text of ``n`` elements with ``L`` levels.
-A text holding NaN has no order to rank by and is always stepped.
+``O(n log L)`` to build for ``n`` elements with ``L`` levels, so only a
+caller that scans one text many times keeps one and pays that; :func:`scan`
+skips only through a :class:`RankIndex` it is given, and :func:`search`
+steps its text.  A text holding NaN has no order to rank by and is stepped.
 """
 
 from __future__ import annotations
@@ -137,38 +140,36 @@ _SKIP_SPAN = 512
 # again after each slice.
 _STEP_SLICE = 32
 # The mark of an element is 1 when it is close to pattern[0], plus 2 when it
-# is close to pattern[1].
+# is close to pattern[1] (always, for a pattern of one).  The scan steps from
+# each mark 1 or 3 that a mark 2 or 3 follows or that ends the span.
 _MARK_NEXT = bytes.maketrans(b"\x00\x01", b"\x02\x03")
-_ADVANCES = re.compile(rb"[\x01\x03]")
-_ADVANCES_THEN_NEXT = re.compile(rb"[\x01\x03](?=[\x02\x03])")
+_CANDIDATE = re.compile(rb"[\x01\x03](?=[\x02\x03]|\Z)")
 
 
 def _state0_marks(
     index: RankIndex, pattern: Sequence[float], alpha: float, lo: int, hi: int
-) -> tuple[bytes, re.Pattern]:
-    """Marks of ``index.values[lo:hi]``, and the regex that finds in them
-    every element where scan state 0 advances whose successor, for a pattern
-    of two or more, is close to ``pattern[1]``."""
+) -> bytes:
+    """The marks of ``index.values[lo:hi]``."""
     table = bytearray(256)
     first, end = index.code_range(pattern[0], alpha)
     table[first:end] = b"\x01" * (end - first)
-    if len(pattern) == 1:
-        regex = _ADVANCES
-    else:
-        first, end = index.code_range(pattern[1], alpha)
-        table[first:end] = table[first:end].translate(_MARK_NEXT)
-        regex = _ADVANCES_THEN_NEXT
-    return index.codes[lo:hi].translate(table), regex
+    first, end = index.code_range(pattern[1], alpha) if len(pattern) > 1 else (0, 256)
+    table[first:end] = table[first:end].translate(_MARK_NEXT)
+    return index.codes[lo:hi].translate(table)
 
 
-def scan(index: RankIndex, pattern: Sequence[float], tol: Tolerance, lo: int, hi: int) -> list[int]:
+def scan(
+    text: Sequence[float] | RankIndex, pattern: Sequence[float], tol: Tolerance, lo: int, hi: int
+) -> list[int]:
     """Starts of non-overlapping approximate occurrences of ``pattern`` in
-    ``index.values[lo:hi]``, as indices into ``index.values``: exactly
-    ``search(index.values[lo:hi], pattern, tol)``, each shifted by ``lo``.
-
-    Returns an empty list when the pattern is longer than the span.
+    ``text[lo:hi]``, as indices into ``text``: exactly
+    ``search(text[lo:hi], pattern, tol)``, each shifted by ``lo``, so empty
+    when the pattern is longer than the span.  ``text`` is a sequence, which
+    is stepped, or a :class:`RankIndex` of one, through which spans of
+    ``_SKIP_SPAN`` or more skip their state-0 stretches in C.
     """
-    values = index.values
+    indexed = isinstance(text, RankIndex)
+    values = text.values if indexed else text
     if not 0 <= lo <= hi <= len(values):
         raise IndexError(f"span [{lo}, {hi}) outside text of length {len(values)}")
     m = len(pattern)
@@ -180,9 +181,9 @@ def scan(index: RankIndex, pattern: Sequence[float], tol: Tolerance, lo: int, hi
     beta = tol.beta
     pat = list(pattern)
     find = None
-    if hi - lo >= _SKIP_SPAN and index.codes is not None:
-        marks, regex = _state0_marks(index, pat, alpha, lo, hi)
-        find = regex.search
+    if indexed and hi - lo >= _SKIP_SPAN and text.codes is not None:
+        marks = _state0_marks(text, pat, alpha, lo, hi)
+        find = _CANDIDATE.search
     pi = None
     out: list[int] = []
     # Positions count from lo, as in marks, so that short spans use only
@@ -235,10 +236,10 @@ def search(text: Sequence[float], pattern: Sequence[float], tol: Tolerance) -> l
 
     Returns an empty list when the pattern is longer than the text, so
     callers can degrade gracefully while history is still short.  The text
-    is indexed afresh; a caller that scans one text many times keeps a
-    :class:`RankIndex` of it and calls :func:`scan`.
+    is stepped element by element and not indexed; a caller that scans one
+    text many times keeps a :class:`RankIndex` of it and calls :func:`scan`.
     """
-    return scan(RankIndex(text), pattern, tol, 0, len(text))
+    return scan(text, pattern, tol, 0, len(text))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ drops the pattern's own occurrence at the tail of the history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -59,8 +60,8 @@ def cold_start_decision(
     """
     if len(pattern) == 0 or len(observed) == 0:
         raise ValueError("pattern and observed window must be non-empty")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not 0.0 < factor < math.inf:
+        raise ValueError("factor must be finite and positive")
     # Left folds, not sum(), which compensates from Python 3.12 on.
     mean_obs = reduce(add, observed, 0.0) / len(observed)
     mean_pat = reduce(add, pattern, 0.0) / len(pattern)

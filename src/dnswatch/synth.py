@@ -15,6 +15,7 @@ byte-identical event streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -56,16 +57,22 @@ class SynthProfile:
     def __post_init__(self) -> None:
         if self.days < 1:
             raise ValueError("days must be at least 1")
-        if self.high_rate <= 0 or self.low_rate <= 0:
-            raise ValueError("rates must be positive")
+        for name in ("high_rate", "low_rate"):
+            rate = getattr(self, name)
+            # numpy draws each minute's packets as one 64-bit count
+            if not 0.0 < rate < 2.0**63:
+                raise ValueError(f"{name} must be positive and below 2**63, got {rate!r}")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
         horizon = self.total_minutes
         for attack in self.attacks:
+            where = f"attack at minute {attack.start_minute}"
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:
-                raise ValueError(f"attack at minute {attack.start_minute} outside the horizon")
-            if attack.magnitude_multiplier <= 0 or attack.duration_minutes < 1:
-                raise ValueError("attack magnitude and duration must be positive")
+                raise ValueError(f"{where} outside the horizon")
+            if attack.duration_minutes < 1:
+                raise ValueError(f"{where}: duration_minutes must be positive")
+            if not 0.0 < attack.magnitude_multiplier < math.inf:
+                raise ValueError(f"{where}: magnitude_multiplier must be finite and positive")
 
     @property
     def total_minutes(self) -> int:

@@ -332,6 +332,55 @@ class TestExitCodes:
         assert out.returncode == 2
 
 
+# Every float a command reads, as (subcommand, the flag with {} for the
+# value, names of which the error must give at least one).  The flag and its
+# value are one argument, or argparse would take "-inf" for a flag.
+_FLOAT_INPUTS = [
+    ("gen", "--high-rate={}", ("--high-rate", "high_rate")),
+    ("gen", "--low-rate={}", ("--low-rate", "low_rate")),
+    ("gen", "--noise={}", ("--noise", "noise_fraction")),
+    ("gen", "--attack=10:30:{}", ("--attack", "magnitude_multiplier")),
+    ("sweep", "--lookbacks-days=0.5,{}", ("--lookbacks-days",)),
+    ("sweep", "--score-thresholds=4,{}", ("--score-thresholds",)),
+] + [
+    (sub, flag + "={}", (flag, flag[2:].replace("-", "_")))
+    for sub in ("detect", "sweep")
+    for flag in ("--epsilon", "--cos-threshold", "--cold-start-factor")
+]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "sub, flag, names", _FLOAT_INPUTS, ids=[s + f.split("=")[0] for s, f, _ in _FLOAT_INPUTS]
+    )
+    def test_non_finite_value_exits_2_naming_it(self, tmp_path, capsys, sub, flag, names, value):
+        files = {
+            "gen": ["--days", "1", "--out-events", tmp_path / "e.csv",
+                    "--out-truth", tmp_path / "t.csv"],
+            "detect": ["--series-dir", tmp_path / "series", "--report", tmp_path / "r.json"],
+            "sweep": ["--events", tmp_path / "e.csv", "--truth", tmp_path / "t.csv",
+                      "--out", tmp_path / "o.csv"],
+        }[sub]
+        assert run_cli([sub, *files, flag.format(value)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(name in err for name in names), err
+        assert list(tmp_path.iterdir()) == []  # nothing written, nothing read
+
+    def test_rate_too_large_to_draw_exits_2_writing_nothing(self, tmp_path, capsys):
+        events = tmp_path / "e.csv"
+        assert run_cli(["gen", "--days", "1", "--high-rate", "1e300",
+                        "--out-events", events, "--out-truth", tmp_path / "t.csv"]) == 2
+        assert "high_rate" in capsys.readouterr().err
+        assert not events.exists()
+
+    def test_expectation_beyond_the_float_range_exits_2(self, capsys):
+        assert run_cli(["expect", "--l", "5000", "--k", "2000", "--d", "1",
+                        "--alpha", "1", "--beta", "1000"]) == 2
+        assert "--beta" in capsys.readouterr().err
+
+
 class TestEvalTimeline:
     # One truth interval at minutes 100-119 and one reported event at 300-309,
     # so the default timeline is [100, 310).

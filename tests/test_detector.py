@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnswatch import detector
+from dnswatch import detector, matching
 from dnswatch.detector import (
     DetectorConfig,
     Window,
@@ -18,7 +19,7 @@ from dnswatch.detector import (
     score_aggregate,
 )
 from dnswatch.ingest import aggregate_all
-from dnswatch.matching import Tolerance, scan, search
+from dnswatch.matching import RankIndex, Tolerance, scan, search
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.predictor import predict
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
@@ -262,6 +263,36 @@ class TestScannedPatterns:
             assert _hex(got) == _hex(predict(history, starts, k, h).values), (lo, t)
 
 
+class TestRankIndexOwner:
+    def _run(self, lookback):
+        rng = random.Random(5)
+        values = tuple(float(rng.choice([0, 3, 4, 9, 30])) for _ in range(2000))
+        cfg = DetectorConfig(lookback=lookback)
+        windows = detector._plan_windows(_series(values), cfg)
+        made = []
+
+        def index_of(text):
+            made.append(RankIndex(text))
+            return made[-1]
+
+        with mock.patch.object(detector, "RankIndex", index_of), mock.patch.object(
+            matching, "_state0_marks", wraps=matching._state0_marks
+        ) as marks:
+            _predict_asm(values, cfg, windows)
+        assert len(made) == 1 and made[0].values is values
+        return made[0], marks
+
+    def test_long_histories_skip_through_the_series_index(self):
+        index, marks = self._run(1440)
+        assert marks.call_count > 0
+        assert all(call.args[0] is index for call in marks.call_args_list)
+
+    def test_short_histories_build_no_codes(self):
+        index, marks = self._run(58)
+        assert marks.call_count == 0
+        assert "codes" not in vars(index) and "levels" not in vars(index)
+
+
 class TestDetectorConfig:
     def test_h_defaults_to_k_and_stride_to_h(self):
         cfg = DetectorConfig(k=30, lookback=120)
@@ -277,6 +308,12 @@ class TestDetectorConfig:
             DetectorConfig(epsilon=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(epsilon=-0.1)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_cold_start_factor_must_be_finite_and_positive(self, factor):
+        # A nan or infinite factor would never flag a cold-start window.
+        with pytest.raises(ValueError, match="cold_start_factor"):
+            DetectorConfig(cold_start_factor=factor)
 
 
 def _flag(start, flagged=True, m=5.0, c=0.1):

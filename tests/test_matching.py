@@ -142,6 +142,7 @@ class TestScan:
         # short texts exercise the skip as well as long ones.
         with mock.patch.object(matching, "_SKIP_SPAN", skip_span):
             assert scan(RankIndex(text), pattern, tol, lo, hi) == want
+            assert scan(text, pattern, tol, lo, hi) == want
             if (lo, hi) == (0, len(text)):
                 assert search(text, pattern, tol) == want
 
@@ -170,6 +171,15 @@ class TestScan:
             want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
             assert want
             assert scan(index, pattern, tol, lo, hi) == want
+
+    def test_candidate_that_ends_the_span_is_stepped(self):
+        # The only minute close to a one-element pattern is the span's last,
+        # which no minute follows to satisfy the pattern[1] lookahead.
+        text = (5.0,) * 1000 + (1.0, 1.0)
+        index = RankIndex(text)
+        assert 1000 >= matching._SKIP_SPAN and index.codes is not None
+        assert scan(index, [1.0], Tolerance(0.0, 0.0), 0, 1001) == [1000]
+        assert scan(index, [1.0], Tolerance(0.0, 0.0), 2, 1002) == [1000, 1001]
 
     @pytest.mark.parametrize("lo, hi", [(-1, 5), (3, 2), (0, 11)])
     def test_span_outside_the_text_is_rejected(self, lo, hi):
@@ -300,6 +310,25 @@ class TestSearch:
                 recomputed = sum(abs(pattern[i] - text[s + i]) for i in range(m))
                 assert recomputed <= tol.beta + 1e-12
             assert all(b - a >= m for a, b in zip(starts, starts[1:]))
+
+    def test_text_is_stepped_without_an_index(self):
+        # A one-shot search pays no sort of the levels or byte map: the
+        # index would cost more than the scan it serves.
+        rng = random.Random(99)
+        floats = tuple(rng.uniform(0.0, 10.0) for _ in range(3000))
+        counts = tuple(float(rng.choice([0, 1, 2, 5])) for _ in range(3000))
+        with_nan = counts[:1500] + (math.nan,) + counts[1501:]
+        assert len(floats) > matching._SKIP_SPAN
+        with mock.patch.object(RankIndex, "__init__", side_effect=AssertionError("indexed")):
+            for text, pattern, tol in [
+                (floats, floats[100:104], Tolerance(2.0, 6.0)),
+                (counts, counts[10:20], Tolerance(1.0, 5.0)),
+                (with_nan, [1.0, 2.0], Tolerance(1.0, 2.0)),
+                (counts, [2.0], Tolerance(0.0, 0.0)),
+            ]:
+                want = reference_search(text, pattern, tol)
+                assert want
+                assert search(text, pattern, tol) == want
 
     def test_determinism(self):
         text = [float(i % 7) for i in range(500)]

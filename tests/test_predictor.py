@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,8 +84,9 @@ class TestColdStartDecision:
             cold_start_decision([], [1.0], 10.0)
         with pytest.raises(ValueError):
             cold_start_decision([1.0], [], 10.0)
-        with pytest.raises(ValueError):
-            cold_start_decision([1.0], [1.0], 0.0)
+        for factor in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="factor"):
+                cold_start_decision([1.0], [1.0], factor)
 
     @given(
         st.lists(st.integers(0, 100), min_size=1, max_size=20),

@@ -23,6 +23,18 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             SynthProfile(noise_fraction=1.0)
 
+    @pytest.mark.parametrize("field", ["high_rate", "low_rate"])
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf, -math.inf, 1e300])
+    def test_rates_must_be_finite_and_drawable(self, field, rate):
+        # numpy draws each minute's packets as one 64-bit count
+        with pytest.raises(ValueError, match=field):
+            SynthProfile(days=1, **{field: rate})
+
+    @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf])
+    def test_attack_multiplier_must_be_finite_and_positive(self, multiplier):
+        with pytest.raises(ValueError, match="attack at minute 10: magnitude_multiplier"):
+            SynthProfile(days=1, attacks=(AttackSpec(10, 30, multiplier),))
+
     def test_default_profile_is_ten_days_five_attacks(self):
         profile = SynthProfile()
         assert profile.days == 10
