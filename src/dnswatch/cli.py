@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 from urllib.parse import quote, unquote
@@ -161,22 +160,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bad_row(f: Path, lines: Sequence[str], lineno: int) -> ParseError:
-    """The error naming the first row that does not parse, in a block of
-    lines of a series file that starts at line ``lineno``."""
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.strip()
-        if not line:
-            continue
-        m_raw, _, v_raw = line.partition(",")
-        try:
-            int(m_raw)
-            float(v_raw)
-        except ValueError:
-            return ParseError(f"{f} line {lineno}: bad row {line!r}")
-    raise AssertionError(f"{f}: every row parses")
-
-
 def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
     series: dict[SeriesKey, MinuteSeries] = {}
     files = sorted(Path(path).glob("*.csv"))
@@ -200,19 +183,16 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
             header = fh.readline().strip()
             if header != SERIES_HEADER:
                 raise ParseError(f"{f}: bad series header {header!r}")
-            lineno = 2
-            # A block of lines at a time: lists of a whole file's rows would
-            # raise peak memory by about a megabyte per 4,320-minute series.
-            while lines := fh.readlines(1 << 13):
-                rows = list(filter(None, map(str.strip, lines)))  # blank lines dropped
-                if rows:
-                    m_raw, _, v_raw = zip(*map(str.partition, rows, repeat(",")))
-                    try:
-                        minutes += map(int, m_raw)
-                        values += map(float, v_raw)
-                    except ValueError:
-                        raise _bad_row(f, lines, lineno) from None
-                lineno += len(lines)
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                m_raw, _, v_raw = line.partition(",")
+                try:
+                    minutes.append(int(m_raw))
+                    values.append(float(v_raw))
+                except ValueError:
+                    raise ParseError(f"{f} line {lineno}: bad row {line!r}") from None
         if not values:
             raise ParseError(f"{f}: empty series")
         if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
@@ -232,15 +212,7 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
 
 
 def _event_to_json(ev: AnomalyEvent) -> dict:
-    return {
-        "key": ev.key,
-        "start_minute": ev.start_minute,
-        "end_minute": ev.end_minute,
-        "mse": ev.mse,
-        "cosine": ev.cosine,
-        "features": sorted(f.value for f in ev.features),
-        "score": ev.score,
-    }
+    return {**dataclasses.asdict(ev), "features": sorted(f.value for f in ev.features)}
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -308,17 +280,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if start >= end:
         raise ParseError(f"timeline [{start}, {end}) is empty: its start must be before its end")
     counts = confusion(events, truth, (start, end), args.window)
-    m = metrics(counts)
-    payload = {
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "fn": counts.fn,
-        "tn": counts.tn,
-        "tpr": m["tpr"],
-        "fnr": m["fnr"],
-        "precision": m["precision"],
-        "f1": m["f1"],
-    }
+    payload = {**dataclasses.asdict(counts), **metrics(counts)}
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -333,16 +295,22 @@ def _grid(flag: str, text: str, convert: Callable[[str], int]) -> list[int]:
     for item in text.split(","):
         try:
             items.append(convert(item))
-        except (ValueError, OverflowError):
-            raise ValueError(f"{flag}: bad item {item!r}") from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{flag}: bad item {item!r}: {exc}") from None
     return items
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lookbacks = _grid("--lookbacks-days", args.lookbacks_days, lambda d: round(float(d) * 1440))
+    # The other flags are checked at a lookback that passes, then each item of
+    # the grid, all before a file is opened.
+    cfg = _config_from_args(args, sys.maxsize)
+    lookbacks = _grid(
+        "--lookbacks-days",
+        args.lookbacks_days,
+        lambda d: dataclasses.replace(cfg, lookback=round(float(d) * 1440)).lookback,
+    )
     thresholds = _grid("--score-thresholds", args.score_thresholds, int)
     methods = args.methods.split(",")
-    cfg = _config_from_args(args, max(lookbacks))
     with open(args.events, newline="") as fh:
         series = aggregate_all(parse_events(fh))
     with open(args.truth, newline="") as fh:

@@ -11,7 +11,7 @@ reported rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .baseline_ar import detect_series_ar
@@ -92,7 +92,7 @@ class SweepRow:
     mean_fn: float
 
 
-SWEEP_HEADER = "method,lookback_min,score_gt,tpr,fnr,precision,f1,mean_fp,mean_fn"
+SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def sweep(
@@ -128,16 +128,12 @@ def sweep(
             for threshold in score_thresholds:
                 events = score_aggregate(flags, cfg.h, threshold)
                 counts = confusion(events, truth, timeline, cfg.stride)
-                m = metrics(counts)
                 rows.append(
                     SweepRow(
-                        method=method,
-                        lookback_min=lookback,
-                        score_gt=threshold,
-                        tpr=m["tpr"],
-                        fnr=m["fnr"],
-                        precision=m["precision"],
-                        f1=m["f1"],
+                        method,
+                        lookback,
+                        threshold,
+                        **metrics(counts),
                         mean_fp=counts.fp / days,
                         mean_fn=counts.fn / days,
                     )
@@ -148,8 +144,5 @@ def sweep(
 def sweep_rows_to_csv(rows: Iterable[SweepRow]) -> str:
     lines = [SWEEP_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.method},{r.lookback_min},{r.score_gt},{r.tpr!r},{r.fnr!r},"
-            f"{r.precision!r},{r.f1!r},{r.mean_fp!r},{r.mean_fn!r}"
-        )
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in astuple(r)))
     return "\n".join(lines) + "\n"

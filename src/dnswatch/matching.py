@@ -180,11 +180,11 @@ def scan(
     alpha = tol.alpha
     beta = tol.beta
     pat = list(pattern)
+    pi = prefix_function(pat, alpha)
     find = None
     if indexed and hi - lo >= _SKIP_SPAN and text.codes is not None:
         marks = _state0_marks(text, pat, alpha, lo, hi)
         find = _CANDIDATE.search
-    pi = None
     out: list[int] = []
     # Positions count from lo, as in marks, so that short spans use only
     # the small ints that Python keeps cached.
@@ -201,8 +201,6 @@ def scan(
             # State 0 usually returns within a few elements, so only a short
             # slice is copied before the state is checked again.
             stop = min(span, i + _STEP_SLICE)
-        if pi is None:
-            pi = prefix_function(pat, alpha)
         # Hot loop: local names only, abs() unrolled to a branch.  With a
         # finder, it runs only until the state is back to 0.
         for i, x in enumerate(values[lo + i : lo + stop], i):

@@ -57,6 +57,8 @@ class SynthProfile:
     def __post_init__(self) -> None:
         if self.days < 1:
             raise ValueError("days must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("high_rate", "low_rate"):
             rate = getattr(self, name)
             # numpy draws each minute's packets as one 64-bit count

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from dnswatch.cli import _load_series_dir, main
+from dnswatch.cli import _event_to_json, _load_series_dir, main
+from dnswatch.detector import AnomalyEvent
 from dnswatch.ingest import MAX_SPAN_MINUTES
 from dnswatch.model import FeatureKind, SeriesKey
 
@@ -87,6 +88,17 @@ class TestPipeline:
         assert out.returncode == 0
         payload = json.loads(out.stdout)
         assert payload["tp"] >= 1 and payload["fn"] == 0
+
+    def test_report_event_keys_follow_the_fields_with_features_sorted(self):
+        event = AnomalyEvent(
+            key="aggregate", start_minute=300, end_minute=309, mse=2.5, cosine=None,
+            features=frozenset({FeatureKind.C_TRANSMITTED, FeatureKind.A_TOTAL_PACKETS}),
+            score=5,
+        )
+        assert json.dumps(_event_to_json(event)) == (
+            '{"key": "aggregate", "start_minute": 300, "end_minute": 309, "mse": 2.5,'
+            ' "cosine": null, "features": ["A", "C"], "score": 5}'
+        )
 
     def test_detect_method_ar_runs(self, tmp_path):
         events, _ = gen_small(tmp_path)
@@ -375,6 +387,27 @@ class TestBadNumbers:
         assert "high_rate" in capsys.readouterr().err
         assert not events.exists()
 
+    def test_negative_seed_exits_2_writing_nothing(self, tmp_path, capsys):
+        events = tmp_path / "e.csv"
+        assert run_cli(["gen", "--days", "1", "--seed", "-1",
+                        "--out-events", events, "--out-truth", tmp_path / "t.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "seed" in err
+        assert not events.exists()
+
+    @pytest.mark.parametrize("grid", ["0.001,5", "5,0.001", "0.001"])
+    def test_sweep_lookback_below_k_plus_h_exits_2_before_reading(self, tmp_path, capsys, grid):
+        # 0.001 days is one minute, shorter than k + h = 48
+        assert run_cli(["sweep", "--events", tmp_path / "missing.csv", "--truth",
+                        tmp_path / "t.csv", "--out", tmp_path / "o.csv",
+                        "--lookbacks-days", grid]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--lookbacks-days: bad item '0.001'" in err
+        assert "lookback must be at least k + h" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_expectation_beyond_the_float_range_exits_2(self, capsys):
         assert run_cli(["expect", "--l", "5000", "--k", "2000", "--d", "1",
                         "--alpha", "1", "--beta", "1000"]) == 2
@@ -411,6 +444,16 @@ class TestEvalTimeline:
         counts = json.loads(capsys.readouterr().out)
         assert (counts["tp"], counts["fp"], counts["fn"], counts["tn"]) == (0, 1, 1, tn)
 
+    def test_json_and_csv_give_the_counts_then_the_rates(self, files, capsys):
+        keys = ["tp", "fp", "fn", "tn", "tpr", "fnr", "precision", "f1"]
+        assert run_cli(files) == 0
+        assert capsys.readouterr().out == (
+            '{"tp": 0, "fp": 1, "fn": 1, "tn": 7, "tpr": 0.0, "fnr": 1.0,'
+            ' "precision": 0.0, "f1": 0.0}\n'
+        )
+        assert run_cli(files[:-1] + ["csv"]) == 0
+        assert capsys.readouterr().out == ",".join(keys) + "\n0,1,1,7,0.0,1.0,0.0,0.0\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--timeline-start", "100000", "--timeline-end", "50"], "timeline [100000, 50) is empty"),
         (["--timeline-start", "400"], "timeline [400, 310) is empty"),
@@ -446,9 +489,16 @@ class TestSeriesLoader:
         assert s.start_minute == 7
         assert s.values == (1.5, 2.0, 3.0, 4.25, 0.0)
 
-    @pytest.mark.parametrize("row", ["9", "9,", ",3.0", "9,3.0,1", "x,3.0", "9,abc", "9;3.0"])
-    def test_bad_row_is_named_by_its_line_number(self, tmp_path, capsys, row):
-        series_dir = self._write(tmp_path, f"minute,value\n7,1.0\n\n  \n8,2.0\n {row} \n10,4.0\n")
+    @pytest.mark.parametrize("row, eol", [
+        *(pytest.param(row, "\n", id=row)
+          for row in ["9", "9,", ",3.0", "9,3.0,1", "x,3.0", "9,abc", "9;3.0"]),
+        # Universal newlines: "\r\n" and a lone "\r" each end one line.
+        pytest.param("9,abc", "\r\n", id="9,abc-crlf"),
+        pytest.param("9,abc", "\r", id="9,abc-cr"),
+    ])
+    def test_bad_row_is_named_by_its_line_number(self, tmp_path, capsys, row, eol):
+        text = f"minute,value\n7,1.0\n\n  \n8,2.0\n {row} \n10,4.0\n".replace("\n", eol)
+        series_dir = self._write(tmp_path, text)
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         err = capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from dnswatch.detector import AGGREGATE_KEY, AnomalyEvent, DetectorConfig
 from dnswatch.evalharness import (
     ConfusionCounts,
+    SweepRow,
     confusion,
     metrics,
     sweep,
@@ -144,6 +145,13 @@ class TestSweep:
         text = sweep_rows_to_csv(sweep(series, truth, cfg, [120], [4], methods=("asm",)))
         assert text.splitlines()[0] == (
             "method,lookback_min,score_gt,tpr,fnr,precision,f1,mean_fp,mean_fn"
+        )
+
+    def test_csv_row_text(self):
+        # The method bare, the int columns without ".0", every float by repr.
+        row = SweepRow("asm", 1440, 4, 1.0, 0.0, 2 / 3, 0.8, 1 / 3, 0.0)
+        assert sweep_rows_to_csv([row]).splitlines()[1] == (
+            "asm,1440,4,1.0,0.0,0.6666666666666666,0.8,0.3333333333333333,0.0"
         )
 
     def test_unknown_method_rejected(self):
