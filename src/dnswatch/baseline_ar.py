@@ -25,9 +25,11 @@ chosen lag.  numpy factors and solves each matrix of a stack on its own, so
 every window gets the bits it would get alone.  A stack that does not factor
 with the first ridge step is fitted by ``fit_ar``.  The stack bound
 keeps the memory small: a stack holds up to 8 Gram matrices of 61 x 61
-floats, about 240 KB, plus temporaries of that size.  All windows of a
-series are then forecast together, each in ``forecast_ar``'s order of
-operations, which holds about ``2 * (L + h)`` floats per window.
+floats, about 240 KB, plus temporaries of that size.  A window whose
+history has fewer than 4 values is a lag-0 model, its mean.  All windows of
+a series are then forecast together, each in ``forecast_ar``'s order of
+operations, which holds about ``2 * (L + h)`` floats per window; a lag-0
+model's forecast is its mean, held flat.
 
 Detection reuses the exact thresholds and decision rule of the matching
 detector, so the two methods differ only in how the predicted window is
@@ -37,7 +39,7 @@ produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .detector import DetectorConfig, Window, WindowFlag, _decide, _plan_windows
 from .model import MAX_COUNT, MinuteSeries
@@ -233,35 +235,30 @@ def _forecast_all(
 
 def _predict_ar(
     values: Sequence[float], cfg: DetectorConfig, windows: Sequence[Window]
-) -> list[Optional[list[float]]]:
+) -> list[list[float]]:
     """The AR forecast of each window, fitted on its history ``values[lo:t]``.
 
     Windows are fitted in chunks of at most ``_CHUNK`` that share a
-    ``max_lag``, and all are forecast in one pass.
+    ``max_lag``, and all are forecast in one pass.  A history of fewer than 4
+    values is too short for any regression: it is a lag-0 model whose
+    intercept is its mean, which the forecast holds flat.
     """
     import numpy as np
 
     arr = np.asarray(values, dtype=float)
-    predictions: list[Optional[list[float]]] = [None] * len(windows)
-    fitted = []
-    for i, (t, lo, _) in enumerate(windows):
-        if t - lo < 4:
-            # too short for any regression; hold the mean flat
-            predictions[i] = [float(arr[lo:t].mean())] * cfg.h
-        else:
-            fitted.append(i)
-    if not fitted:
-        return predictions
-    t = np.array([windows[i].t for i in fitted])
-    lo = np.array([windows[i].lo for i in fitted])
+    t = np.array([w.t for w in windows])
+    lo = np.array([w.lo for w in windows])
     # a history of n >= 4 values gives n >= 2 * (n // 4) + 2, the fit precondition
     max_lags = np.minimum(60, (t - lo) // 4)
     top = int(max_lags.max())
     sums = _LaggedSums(arr, top)
-    lags = np.empty(len(fitted), dtype=int)
-    coef = np.zeros((len(fitted), top + 1))
+    lags = np.zeros(len(windows), dtype=int)
+    coef = np.zeros((len(windows), top + 1))
     for max_lag in sorted(set(max_lags.tolist())):
         group = np.flatnonzero(max_lags == max_lag)
+        if not max_lag:
+            coef[group, 0] = [arr[lo[i] : t[i]].mean() for i in group.tolist()]
+            continue
         for start in range(0, group.size, _CHUNK):
             chunk = group[start : start + _CHUNK]
             if sums.exact:
@@ -273,9 +270,7 @@ def _predict_ar(
             for i in chunk.tolist():
                 model = fit_ar(arr[lo[i] : t[i]], max_lag)
                 lags[i], coef[i, : model.lag + 1] = model.lag, model.coefficients
-    for i, forecast in zip(fitted, _forecast_all(arr, t, lags, coef, cfg.h).tolist()):
-        predictions[i] = forecast
-    return predictions
+    return _forecast_all(arr, t, lags, coef, cfg.h).tolist()
 
 
 def detect_series_ar(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]:

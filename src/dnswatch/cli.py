@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
-from .coldstart import ColdStartParams, expected_matches
-from .detector import AnomalyEvent, DetectorConfig, detect_series, score_aggregate
+from .coldstart import MODES, ColdStartParams, expected_matches
+from .detector import AnomalyEvent, DetectorConfig, WindowFlag, detect_series, score_aggregate
 from .evalharness import METHODS, confusion, metrics, sweep, sweep_rows_to_csv
 from .ingest import (
     ParseError,
@@ -226,7 +226,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         fh.write("\n")
     if args.emit_windows:
         with open(args.emit_windows, "w", newline="") as fh:
-            fh.write("series_key,window_start,flagged,mse,cosine,cold_start\n")
+            header = ",".join(f.name for f in dataclasses.fields(WindowFlag))
+            fh.write(f"series_key,{header}\n")
             for key in sorted(flags):
                 for w in flags[key]:
                     mse_s = "" if w.mse is None else repr(w.mse)
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="digits per letter")
     p.add_argument("--alpha", type=int, required=True, help="per-letter tolerance")
     p.add_argument("--beta", type=int, required=True, help="total tolerance")
-    p.add_argument("--mode", choices=["lower", "inclusion_exclusion"], default="lower")
+    p.add_argument("--mode", choices=MODES, default="lower")
     p.set_defaults(func=_cmd_expect)
 
     return parser

@@ -74,7 +74,7 @@ def choice_count_ie(k: int, alpha: int, beta: int) -> int:
     return total
 
 
-_MODES = ("lower", "inclusion_exclusion")
+MODES = ("lower", "inclusion_exclusion")
 
 
 def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
@@ -89,8 +89,8 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     :func:`monte_carlo_matches` deliberately does not share it, so the two
     are not comparable.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if mode == "lower":
         choices = choice_count_lower(params.k, params.alpha, params.beta)
     else:

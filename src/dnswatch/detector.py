@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -97,14 +98,12 @@ def mse(pred: Sequence[float], observed: Sequence[float]) -> float:
 def cosine(pred: Sequence[float], observed: Sequence[float]) -> float:
     """Cosine similarity; scale invariant.
 
-    The prediction must not be the zero vector.  A zero observed window
-    returns 0 by convention; callers are expected to short-circuit the
-    all-zero observation case before consulting similarity.
+    A window with no measurable direction has cosine 0, so it reads as
+    dissimilar: a zero vector on either side, or values so small (per-element
+    magnitudes below about 1e-154) that the squared norms underflow to 0.
     """
     if len(pred) != len(observed) or len(pred) == 0:
         raise ValueError("windows must be non-empty and equally long")
-    if all(p == 0 for p in pred):
-        raise ValueError("prediction must not be the zero vector")
     dot = 0.0
     pp = 0.0
     ee = 0.0
@@ -112,7 +111,7 @@ def cosine(pred: Sequence[float], observed: Sequence[float]) -> float:
         dot += p * e
         pp += p * p
         ee += e * e
-    if ee == 0.0:
+    if pp * ee == 0.0:
         return 0.0
     return dot / math.sqrt(pp * ee)
 
@@ -267,14 +266,8 @@ def _decide(
             flags.append(WindowFlag(minute, flagged, None, None, True))
             continue
         err = mse(predicted, observed)
-        if any(p != 0 for p in predicted):
-            cos = cosine(predicted, observed)
-        else:
-            cos = 0.0  # zero prediction carries no direction; treat as dissimilar
-        if all(v == 0 for v in observed):
-            flagged = False
-        else:
-            flagged = err > thr.error_threshold and cos < cfg.cos_threshold
+        cos = cosine(predicted, observed)
+        flagged = err > thr.error_threshold and cos < cfg.cos_threshold and any(observed)
         flags.append(WindowFlag(minute, flagged, err, cos, False))
     return flags
 
@@ -335,27 +328,19 @@ def score_aggregate(
         m for m, feats in triggered.items() if sum(f.score for f in feats) > score_threshold
     )
     events: list[AnomalyEvent] = []
-    run_start = None
-    prev = None
-    for minute in hot + [None]:
-        if run_start is not None and (minute is None or minute != prev + 1):
-            span = range(run_start, prev + 1)
-            feats = frozenset().union(*(triggered[m] for m in span))
-            mses = [worst_mse[m] for m in span if m in worst_mse]
-            coses = [worst_cos[m] for m in span if m in worst_cos]
-            events.append(
-                AnomalyEvent(
-                    key=AGGREGATE_KEY,
-                    start_minute=run_start,
-                    end_minute=prev,
-                    mse=max(mses) if mses else 0.0,
-                    cosine=min(coses) if coses else None,
-                    features=feats,
-                    score=sum(f.score for f in feats),
-                )
+    # consecutive minutes share their distance to their index in hot
+    for _, run in groupby(enumerate(hot), key=lambda p: p[1] - p[0]):
+        span = [m for _, m in run]
+        feats = frozenset().union(*(triggered[m] for m in span))
+        events.append(
+            AnomalyEvent(
+                key=AGGREGATE_KEY,
+                start_minute=span[0],
+                end_minute=span[-1],
+                mse=max((worst_mse[m] for m in span if m in worst_mse), default=0.0),
+                cosine=min((worst_cos[m] for m in span if m in worst_cos), default=None),
+                features=feats,
+                score=sum(f.score for f in feats),
             )
-            run_start = None
-        if minute is not None and run_start is None:
-            run_start = minute
-        prev = minute
+        )
     return events

@@ -15,8 +15,8 @@ byte-identical event streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 from .ingest import DnsEventRecord, GroundTruthInterval
@@ -67,14 +67,17 @@ class SynthProfile:
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
         horizon = self.total_minutes
+        # An attack minute's extra packets, below (rate / 60 + 1) * 2 * multiplier,
+        # are one count that iter_events repeats: it must fit in 64 bits.
+        limit = 2.0**62 / (max(self.high_rate, self.low_rate) / 60.0 + 1.0)
         for attack in self.attacks:
             where = f"attack at minute {attack.start_minute}"
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:
                 raise ValueError(f"{where} outside the horizon")
             if attack.duration_minutes < 1:
                 raise ValueError(f"{where}: duration_minutes must be positive")
-            if not 0.0 < attack.magnitude_multiplier < math.inf:
-                raise ValueError(f"{where}: magnitude_multiplier must be finite and positive")
+            if not 0.0 < attack.magnitude_multiplier < limit:
+                raise ValueError(f"{where}: magnitude_multiplier must lie in (0, {limit:.3g})")
 
     @property
     def total_minutes(self) -> int:
@@ -116,14 +119,11 @@ def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
         for idx in range(n_clients):
             server = SERVER_IPS[idx % len(SERVER_IPS)]
             client = clients[idx]
-            for _ in range(per_client[idx]):
-                yield DnsEventRecord(ts, client, server, "tx", False)
+            yield from repeat(DnsEventRecord(ts, client, server, "tx", False), per_client[idx])
         attack = next((a for a in profile.attacks if a.covers(minute)), None)
         if attack is None:
             continue
         extra = round(quota * noise * (attack.magnitude_multiplier - 1.0))
         tx_part = extra // 2
-        for _ in range(tx_part):
-            yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "tx", False)
-        for _ in range(extra - tx_part):
-            yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "rx", True)
+        yield from repeat(DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "tx", False), tx_part)
+        yield from repeat(DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "rx", True), extra - tx_part)

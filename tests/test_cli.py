@@ -226,6 +226,23 @@ class TestExitCodes:
                         "--emit-windows", windows]) == 0
         assert "True" not in windows.read_text()
 
+    @pytest.mark.parametrize("method", ["asm", "ar"])
+    def test_tiny_values_exit_0(self, tmp_path, method):
+        # squares of 1e-170 underflow to 0, so a window of them has no
+        # direction and a cosine of 0, where dividing by its norm would raise
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        values = [1e-170] * 200 + [5.0] * 48
+        rows = "".join(f"{m},{v!r}\n" for m, v in enumerate(values))
+        (series_dir / "A.csv").write_text("minute,value\n" + rows)
+        out = subprocess.run(
+            [sys.executable, "-m", "dnswatch", "detect", "--series-dir", str(series_dir),
+             "--method", method, "--report", str(tmp_path / "r.json"), "--lookback", "100"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_series_without_shared_span_exits_2(self, tmp_path, capsys):
         series_dir = tmp_path / "series"
         series_dir.mkdir()

@@ -63,17 +63,22 @@ class TestCosine:
     def test_zero_observed_returns_zero(self):
         assert cosine([1, 2], [0, 0]) == 0.0
 
-    def test_zero_prediction_rejected(self):
-        with pytest.raises(ValueError):
-            cosine([0, 0], [1, 2])
+    def test_zero_prediction_is_dissimilar(self):
+        assert cosine([0, 0], [1, 2]) == 0.0
+        assert cosine([0.0, -0.0], [0, 0]) == 0.0
+
+    def test_underflowing_norms_are_dissimilar(self):
+        # the squared norm, or the product of both, underflows to 0: no
+        # measurable direction, where dividing by it would raise
+        assert cosine([1e-170] * 3, [5.0] * 3) == 0.0
+        assert cosine([1e-200], [1e-200]) == 0.0
+        assert cosine([5.0] * 3, [1e-170] * 3) == 0.0
 
     @given(st.data())
     def test_range_for_non_negative_inputs(self, data):
         n = data.draw(st.integers(1, 12))
         pred = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
         obs = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
-        if all(p == 0 for p in pred):
-            pred[0] = 1
         value = cosine(pred, obs)
         assert -1e-12 <= value <= 1.0 + 1e-12
 
@@ -391,3 +396,88 @@ class TestScoreAggregate:
         events = score_aggregate(flags, h=4, score_threshold=4)
         assert events[0].mse == 9.0
         assert events[0].cosine == 0.3
+
+
+_AGGREGATE_KEYS = (
+    SeriesKey(FeatureKind.A_TOTAL_PACKETS),
+    SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "1.1.1.1"),
+    SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "2.2.2.2"),
+    SeriesKey(FeatureKind.C_TRANSMITTED, "1.1.1.1"),
+    SeriesKey(FeatureKind.C_TRANSMITTED, "2.2.2.2"),
+)
+
+
+@st.composite
+def _window_flag(draw):
+    start = draw(st.integers(0, 16))  # narrow, so runs often touch or leave one-minute gaps
+    flagged = draw(st.booleans())
+    if draw(st.booleans()):
+        return WindowFlag(start, flagged, None, None, True)
+    m = draw(st.sampled_from([0.0, 5e-324, 3.0]) | st.floats(0.0, 1e6))
+    c = draw(st.sampled_from([1.0000000000000002, 1.0, 0.0, -0.0]) | st.floats(-1.0, 1.0))
+    return WindowFlag(start, flagged, m, c, False)
+
+
+def _aggregate_by_minute(flags_by_key, h, score_threshold):
+    """score_aggregate brute force: every minute asks every window whether it covers it."""
+    keys = sorted(flags_by_key)
+    flagged = [(key.feature, f) for key in keys for f in flags_by_key[key] if f.flagged]
+    if not flagged:
+        return []
+
+    def covering(minute):
+        return [(feat, f) for feat, f in flagged if f.window_start <= minute < f.window_start + h]
+
+    first = min(f.window_start for _, f in flagged)
+    last = max(f.window_start for _, f in flagged) + h
+    hot = [
+        m for m in range(first, last)
+        if sum(feat.score for feat in {feat for feat, _ in covering(m)}) > score_threshold
+    ]
+    runs: list[list[int]] = []
+    for m in hot:
+        if runs and runs[-1][-1] == m - 1:
+            runs[-1].append(m)
+        else:
+            runs.append([m])
+    events = []
+    for run in runs:
+        features = set()
+        mses, coses = [], []
+        for m in run:
+            here = covering(m)
+            features |= {feat for feat, _ in here}
+            minute_mses = [f.mse for _, f in here if f.mse is not None]
+            minute_coses = [f.cosine for _, f in here if f.cosine is not None]
+            if minute_mses:
+                mses.append(max([0.0] + minute_mses))
+            if minute_coses:
+                coses.append(min([1.0] + minute_coses))  # a cosine past 1 reads as 1
+        events.append((
+            "aggregate", run[0], run[-1],
+            max(mses).hex() if mses else (0.0).hex(),
+            min(coses).hex() if coses else None,
+            frozenset(features), sum(feat.score for feat in features),
+        ))
+    return events
+
+
+class TestScoreAggregateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(_AGGREGATE_KEYS), st.lists(_window_flag(), max_size=6), max_size=5
+        ),
+        st.integers(1, 6),
+        st.integers(3, 6),
+    )
+    def test_every_field_matches_the_per_minute_oracle(self, flags_by_key, h, score_threshold):
+        events = score_aggregate(flags_by_key, h, score_threshold)
+        got = [
+            (
+                e.key, e.start_minute, e.end_minute, e.mse.hex(),
+                None if e.cosine is None else e.cosine.hex(), e.features, e.score,
+            )
+            for e in events
+        ]
+        assert got == _aggregate_by_minute(flags_by_key, h, score_threshold)

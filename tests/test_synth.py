@@ -30,7 +30,8 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match=field):
             SynthProfile(days=1, **{field: rate})
 
-    @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf])
+    # 1e300 would add more packets to a minute than a 64-bit count holds
+    @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf, 1e300])
     def test_attack_multiplier_must_be_finite_and_positive(self, multiplier):
         with pytest.raises(ValueError, match="attack at minute 10: magnitude_multiplier"):
             SynthProfile(days=1, attacks=(AttackSpec(10, 30, multiplier),))
