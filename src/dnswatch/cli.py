@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
@@ -37,6 +37,7 @@ from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
 SERIES_HEADER = "minute,value"
 _DEFAULTS = DetectorConfig()
+T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +78,10 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace, lookback: int) -> DetectorConfig:
+    # every other field is the flag of the same name
+    fields = dataclasses.fields(DetectorConfig)
     return DetectorConfig(
-        k=args.k,
-        h=args.h,
-        lookback=lookback,
-        epsilon=args.epsilon,
-        cos_threshold=args.cos_threshold,
-        stride=args.stride,
-        cold_start_factor=args.cold_start_factor,
+        lookback=lookback, **{f.name: getattr(args, f.name) for f in fields if f.name != "lookback"}
     )
 
 
@@ -205,7 +202,7 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
                 f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
             )
         try:
-            series[key] = MinuteSeries(key, minutes[0], tuple(values))
+            series[key] = MinuteSeries(minutes[0], tuple(values))
         except ValueError as exc:
             raise ParseError(f"{f}: {exc}") from None
     return series
@@ -290,7 +287,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(flag: str, text: str, convert: Callable[[str], int]) -> list[int]:
+def _grid(flag: str, text: str, convert: Callable[[str], T]) -> list[T]:
     """The comma-separated items of a grid flag, each converted."""
     items = []
     for item in text.split(","):
@@ -299,6 +296,12 @@ def _grid(flag: str, text: str, convert: Callable[[str], int]) -> list[int]:
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{flag}: bad item {item!r}: {exc}") from None
     return items
+
+
+def _method(name: str) -> str:
+    if name not in METHODS:
+        raise ValueError(f"must be one of {', '.join(METHODS)}")
+    return name
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -311,7 +314,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lambda d: dataclasses.replace(cfg, lookback=round(float(d) * 1440)).lookback,
     )
     thresholds = _grid("--score-thresholds", args.score_thresholds, int)
-    methods = args.methods.split(",")
+    methods = _grid("--methods", args.methods, _method)
     with open(args.events, newline="") as fh:
         series = aggregate_all(parse_events(fh))
     with open(args.truth, newline="") as fh:

@@ -56,20 +56,17 @@ def choice_count_ie(k: int, alpha: int, beta: int) -> int:
     between 1 and ``alpha``, by inclusion-exclusion:
     ``sum_i (-1)**i * C(k, i) * C(beta - i*alpha - 1, k - 1)``.
 
-    ``comb`` with an undersized or negative upper argument counts as 0, which
-    is what truncates the alternating sum correctly.
+    The sum stops at the last ``i`` whose upper argument is non-negative
+    (``comb`` raises on a negative one); below that, ``comb`` of an upper
+    argument smaller than ``k - 1`` is 0.
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
     total = 0
-    for i in range(beta // alpha + 1):
-        upper = beta - i * alpha - 1
-        if upper < 0:
-            term = 0
-        else:
-            term = comb(k, i) * comb(upper, k - 1)
+    for i in range((beta - 1) // alpha + 1):
+        term = comb(k, i) * comb(beta - i * alpha - 1, k - 1)
         total += term if i % 2 == 0 else -term
     return total
 

@@ -182,37 +182,32 @@ def _plan_windows(series: MinuteSeries, cfg: DetectorConfig) -> list[Window]:
         raise ValueError(f"series must have at least {minimum} minutes, got {n}")
     windows: list[Window] = []
     maxvalue = 0.0
-    scanned = 0
+    seen = 0
     for t in range(cfg.k, n - cfg.h + 1, cfg.stride):
-        while scanned < t:
-            if values[scanned] > maxvalue:
-                maxvalue = values[scanned]
-            scanned += 1
+        maxvalue = max(maxvalue, max(values[seen:t]))  # the minutes before t only
+        seen = t
         thr = compute_thresholds(maxvalue, values[t - cfg.k : t], cfg.epsilon)
         windows.append(Window(t, max(0, t - cfg.lookback), thr))
     return windows
 
 
 def _predict_all_zero(
-    values: Sequence[float], zero: bytes, lo: int, t: int, k: int, h: int
+    values: Sequence[float], zero: bytes, lo: int, hi: int, k: int, h: int
 ) -> Optional[tuple[float, ...]]:
-    """What ``search`` + ``predict`` give for an all-zero pattern, read off
+    """What ``scan`` + ``predict`` give for an all-zero pattern, read off
     ``zero``, the series with a zero byte for each zero minute.
 
     The tolerances are then zero, so the scan accepts exactly the greedy
-    blocks of ``k`` zeros of each zero run clipped to ``[lo, t)``.  A block
-    contributes when its next ``h`` minutes end by ``t``; those inside its
-    run add only zeros, which leave every partial sum unchanged, so only the
+    blocks of ``k`` zeros of each zero run clipped to ``[lo, hi)``, and each
+    of them contributes.  The next ``h`` minutes of a block inside its run
+    add only zeros, which leave every partial sum unchanged, so only the
     blocks whose next minutes cross the run's end are summed, in scan order.
     """
-    last = t - k - h  # latest start with a complete following window
     count = 0
     acc = [0.0] * h
-    for run in re.compile(rb"\x00{%d,}" % k).finditer(zero, lo, t):
+    for run in re.compile(rb"\x00{%d,}" % k).finditer(zero, lo, hi):
         first, end = run.span()
-        if first > last:
-            break
-        top = min(end - k, last)  # latest contributing block start
+        top = end - k  # latest block start
         count += (top - first) // k + 1
         # Only blocks starting after end - k - h see minutes past the run.
         summed = first + max(0, (end - k - h - first) // k + 1) * k
@@ -233,17 +228,18 @@ def _predict_asm(
     predictions: list[Optional[tuple[float, ...]]] = []
     for t, lo, thr in windows:
         pattern = values[t - k : t]
+        # Only matches whose next h minutes end by t contribute.  The scan
+        # runs left to right, so those are exactly the matches it finds in
+        # [lo, hi): the minutes from t - h on change none of them.
+        hi = max(lo, t - h)
         # Keyed on the pattern, not on alpha == 0: a subnormal pattern mean
         # also rounds alpha to zero without the pattern being all zero.
         if not any(pattern):
             if zero is None:
                 zero = bytes(map(bool, values))  # any()'s test, so -0.0 is zero
-            predictions.append(_predict_all_zero(values, zero, lo, t, k, h))
+            predictions.append(_predict_all_zero(values, zero, lo, hi, k, h))
             continue
-        # Only matches whose next h minutes end by t contribute.  The scan
-        # runs left to right, so those are exactly the matches it finds in
-        # [lo, t - h): the minutes after t - h change none of them.
-        starts = scan(index, pattern, thr, lo, max(lo, t - h))
+        starts = scan(index, pattern, thr, lo, hi)
         predictions.append(predict(values, starts, k, h).values)
     return predictions
 
@@ -258,11 +254,10 @@ def _decide(
     values = series.values
     flags: list[WindowFlag] = []
     for (t, _, thr), predicted in zip(windows, predictions):
-        pattern = values[t - cfg.k : t]
         observed = values[t : t + cfg.h]
         minute = series.start_minute + t
         if predicted is None:
-            flagged = cold_start_decision(pattern, observed, cfg.cold_start_factor)
+            flagged = cold_start_decision(values[t - cfg.k : t], observed, cfg.cold_start_factor)
             flags.append(WindowFlag(minute, flagged, None, None, True))
             continue
         err = mse(predicted, observed)

@@ -119,7 +119,7 @@ def sweep(
     days = max(1.0, (timeline[1] - timeline[0]) / 1440.0)
     rows: list[SweepRow] = []
     for method in methods:
-        detect = detect_series if method == "asm" else detect_series_ar
+        detect = detect_series if method == METHODS[0] else detect_series_ar
         for lookback in lookbacks:
             cfg = replace(base_cfg, lookback=lookback)
             flags: dict[SeriesKey, list[WindowFlag]] = {

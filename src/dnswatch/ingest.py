@@ -152,13 +152,11 @@ def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSe
             f"events span minutes {lo} to {hi}, {hi - lo + 1} minutes; at most"
             f" {MAX_SPAN_MINUTES} ({MAX_SPAN_MINUTES // 1440} days) can be zero-filled"
         )
-    out: dict[SeriesKey, MinuteSeries] = {}
-    key_a = SeriesKey(FeatureKind.A_TOTAL_PACKETS)
-    out[key_a] = MinuteSeries(key_a, lo, _zero_filled(total, lo, hi))
-    for ip in sorted(malformed_rx):
-        key = SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, ip)
-        out[key] = MinuteSeries(key, lo, _zero_filled(malformed_rx[ip], lo, hi))
-    for ip in sorted(transmitted):
-        key = SeriesKey(FeatureKind.C_TRANSMITTED, ip)
-        out[key] = MinuteSeries(key, lo, _zero_filled(transmitted[ip], lo, hi))
+    out = {SeriesKey(FeatureKind.A_TOTAL_PACKETS): MinuteSeries(lo, _zero_filled(total, lo, hi))}
+    for feature, per_ip in (
+        (FeatureKind.B_MALFORMED_RECEIVED, malformed_rx),
+        (FeatureKind.C_TRANSMITTED, transmitted),
+    ):
+        for ip in sorted(per_ip):
+            out[SeriesKey(feature, ip)] = MinuteSeries(lo, _zero_filled(per_ip[ip], lo, hi))
     return out

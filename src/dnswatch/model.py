@@ -75,7 +75,8 @@ class SeriesKey:
 
 @dataclass(frozen=True)
 class MinuteSeries:
-    """Contiguous per-minute counts for one key.
+    """Contiguous per-minute counts of one stream, filed under its key in a
+    ``dict[SeriesKey, MinuteSeries]``.
 
     ``values[i]`` is the count for epoch minute ``start_minute + i``.  Gaps
     must be zero-filled by the producer; values are stored as floats so that
@@ -83,7 +84,6 @@ class MinuteSeries:
     ``[0, MAX_COUNT)``.
     """
 
-    key: SeriesKey
     start_minute: int
     values: tuple[float, ...]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator
 
-from .ingest import DnsEventRecord, GroundTruthInterval
+from .ingest import MAX_SPAN_MINUTES, DnsEventRecord, GroundTruthInterval
 
 CLIENT_IPS = ("10.0.0.11", "10.0.0.12", "10.0.0.13", "10.0.0.14")
 SERVER_IPS = ("10.0.1.53", "10.0.2.53")
@@ -55,8 +55,9 @@ class SynthProfile:
     seed: int = 1234
 
     def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError("days must be at least 1")
+        # ingest zero-fills at most MAX_SPAN_MINUTES
+        if not 1 <= self.days <= MAX_SPAN_MINUTES // 1440:
+            raise ValueError(f"days must lie in [1, {MAX_SPAN_MINUTES // 1440}], got {self.days!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("high_rate", "low_rate"):

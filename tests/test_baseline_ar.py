@@ -15,7 +15,7 @@ from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
 def _series(values, start=0):
-    return MinuteSeries(SeriesKey(FeatureKind.A_TOTAL_PACKETS), start, tuple(values))
+    return MinuteSeries(start, tuple(values))
 
 
 def _ar1(n, coef, seed, sigma=1.0):

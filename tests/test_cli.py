@@ -425,6 +425,25 @@ class TestBadNumbers:
         assert "lookback must be at least k + h" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_unknown_method_exits_2_before_reading(self, tmp_path, capsys):
+        assert run_cli(["sweep", "--events", tmp_path / "missing.csv", "--truth",
+                        tmp_path / "t.csv", "--out", tmp_path / "o.csv",
+                        "--methods", "asm,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--methods: bad item 'bogus': must be one of asm, ar" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_beyond_what_ingest_reads_exits_2_writing_nothing(self, tmp_path, capsys):
+        days = MAX_SPAN_MINUTES // 1440 + 1
+        assert run_cli(["gen", "--days", days, "--high-rate", "60", "--low-rate", "60",
+                        "--noise", "0", "--attack", "10:5:2",
+                        "--out-events", tmp_path / "e.csv", "--out-truth", tmp_path / "t.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "days must lie in [1, 366], got 367" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_expectation_beyond_the_float_range_exits_2(self, capsys):
         assert run_cli(["expect", "--l", "5000", "--k", "2000", "--d", "1",
                         "--alpha", "1", "--beta", "1000"]) == 2

@@ -26,7 +26,7 @@ from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
 def _series(values, start=0):
-    return MinuteSeries(SeriesKey(FeatureKind.A_TOTAL_PACKETS), start, tuple(values))
+    return MinuteSeries(start, tuple(values))
 
 
 class TestMse:
@@ -178,6 +178,44 @@ class TestDetectSeries:
         for m, c in [(0.5, 0.5), (10.0, 0.95), (10.0, 0.5), (0.0, 1.0)]:
             assert decide(m, c, 1.0, 0.9) <= decide(m, c, 0.5, 0.9)
             assert decide(m, c, 1.0, 0.9) <= decide(m, c, 1.0, 0.99)
+
+
+class TestPlanOracle:
+    # The threshold of window t sees the running maximum of the minutes
+    # before t only: the observed minute t is not yet known.
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(0, 2000).map(float), st.sampled_from([0.0, -0.0, 9.9, 10.0])),
+            min_size=3,
+            max_size=120,
+        ),
+        stride_vs_k=st.sampled_from(["below", "at", "above"]),
+        data=st.data(),
+    )
+    def test_thresholds_follow_the_minutes_before_each_window(self, values, stride_vs_k, data):
+        n = len(values)
+        k = data.draw(st.integers(2 if stride_vs_k == "below" else 1, max(2, (n - 1) // 2)), label="k")
+        h = data.draw(st.integers(1, 10), label="h")
+        if n < k + h + 1:
+            values += [1.0] * (k + h + 1 - n)
+            n = len(values)
+        if stride_vs_k == "below":
+            stride = data.draw(st.integers(1, k - 1), label="stride")
+        elif stride_vs_k == "above":
+            stride = data.draw(st.integers(k + 1, 3 * k), label="stride")
+        else:
+            stride = k
+        lookback = data.draw(st.integers(k + h, n + 10), label="lookback")
+        epsilon = data.draw(st.sampled_from([0.0, 0.1, 0.5]), label="epsilon")
+        cfg = DetectorConfig(k=k, h=h, lookback=lookback, epsilon=epsilon, stride=stride)
+        windows = detector._plan_windows(_series(values), cfg)
+        assert [w.t for w in windows] == list(range(k, n - h + 1, stride))
+        for t, lo, thr in windows:
+            want = compute_thresholds(max([0.0, *values[:t]]), values[t - k : t], epsilon)
+            assert lo == max(0, t - lookback)
+            got = (thr.error_threshold, thr.alpha, thr.beta)
+            assert _hex(got) == _hex((want.error_threshold, want.alpha, want.beta)), t
 
 
 def _hex(pred):

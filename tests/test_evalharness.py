@@ -102,8 +102,8 @@ def _make_dataset():
         values[m] = 600.0
     key_c = SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.1")
     series = {
-        key: MinuteSeries(key, 0, tuple(values)),
-        key_c: MinuteSeries(key_c, 0, tuple(values)),
+        key: MinuteSeries(0, tuple(values)),
+        key_c: MinuteSeries(0, tuple(values)),
     }
     truth = [GroundTruthInterval(200, 214, "burst")]
     return series, truth

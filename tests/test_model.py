@@ -6,7 +6,7 @@ from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 
 
 def _series(values, start=0):
-    return MinuteSeries(SeriesKey(FeatureKind.A_TOTAL_PACKETS), start, tuple(values))
+    return MinuteSeries(start, tuple(values))
 
 
 class TestFeatureKind:

@@ -36,6 +36,12 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="attack at minute 10: magnitude_multiplier"):
             SynthProfile(days=1, attacks=(AttackSpec(10, 30, multiplier),))
 
+    def test_days_must_fit_what_ingest_zero_fills(self):
+        # ingest zero-fills at most 366 days of minutes
+        with pytest.raises(ValueError, match=r"days must lie in \[1, 366\], got 367"):
+            SynthProfile(days=367)
+        assert SynthProfile(days=366).total_minutes == 366 * 1440
+
     def test_default_profile_is_ten_days_five_attacks(self):
         profile = SynthProfile()
         assert profile.days == 10
