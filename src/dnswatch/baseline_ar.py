@@ -26,10 +26,12 @@ every window gets the bits it would get alone.  A stack that does not factor
 with the first ridge step is fitted by ``fit_ar``.  The stack bound
 keeps the memory small: a stack holds up to 8 Gram matrices of 61 x 61
 floats, about 240 KB, plus temporaries of that size.  A window whose
-history has fewer than 4 values is a lag-0 model, its mean.  All windows of
-a series are then forecast together, each in ``forecast_ar``'s order of
-operations, which holds about ``2 * (L + h)`` floats per window; a lag-0
-model's forecast is its mean, held flat.
+history has fewer than 4 values, or no nonzero value, is a lag-0 model, its
+mean, and is never fitted: for an all-zero history the fit's answer is
+fixed in advance, a forecast of 0.  All windows of a series are then
+forecast together, each in ``forecast_ar``'s order of operations, which
+holds about ``2 * (L + h)`` floats per window; a lag-0 model's forecast is
+its mean, held flat.
 
 Detection reuses the exact thresholds and decision rule of the matching
 detector, so the two methods differ only in how the predicted window is
@@ -241,7 +243,13 @@ def _predict_ar(
     Windows are fitted in chunks of at most ``_CHUNK`` that share a
     ``max_lag``, and all are forecast in one pass.  A history of fewer than 4
     values is too short for any regression: it is a lag-0 model whose
-    intercept is its mean, which the forecast holds flat.
+    intercept is its mean, which the forecast holds flat.  So is a history
+    with no nonzero value, found from one prefix count of nonzero minutes,
+    without a fit: its mean is 0, and a fit would give the same forecast,
+    since its Gram matrix is zero off the intercept and its cross products
+    are zero, so AIC keeps lag 1 with zero coefficients.  A -0.0 minute
+    counts as zero; ``mse`` and ``cosine`` read a zero forecast of either
+    sign alike, so no flag or score depends on the sign.
     """
     import numpy as np
 
@@ -250,6 +258,9 @@ def _predict_ar(
     lo = np.array([w.lo for w in windows])
     # a history of n >= 4 values gives n >= 2 * (n // 4) + 2, the fit precondition
     max_lags = np.minimum(60, (t - lo) // 4)
+    # nonzero[i]: how many of values[:i] are nonzero
+    nonzero = np.concatenate(([0], np.cumsum(arr != 0.0)))
+    max_lags[nonzero[t] == nonzero[lo]] = 0
     top = int(max_lags.max())
     sums = _LaggedSums(arr, top)
     lags = np.zeros(len(windows), dtype=int)

@@ -85,6 +85,16 @@ def _config_from_args(args: argparse.Namespace, lookback: int) -> DetectorConfig
     )
 
 
+def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
+    """Reject an output flag whose directory does not exist, before any input
+    is read or any work is done.  Nothing is opened here: an output path that
+    names an input must not be truncated before the input is read."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def _parse_attack(text: str) -> AttackSpec:
     parts = text.split(":")
     if len(parts) != 3:
@@ -116,6 +126,7 @@ def _profile_from_args(args: argparse.Namespace) -> SynthProfile:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "--out-events", "--out-truth")
     profile = _profile_from_args(args)
     with open(args.out_events, "w", newline="") as fh:
         count = write_events(fh, iter_events(profile))
@@ -213,6 +224,7 @@ def _event_to_json(ev: AnomalyEvent) -> dict:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "--report", "--emit-windows")
     cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
@@ -305,8 +317,9 @@ def _method(name: str) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # The other flags are checked at a lookback that passes, then each item of
-    # the grid, all before a file is opened.
+    # The output's directory is checked, then the other flags at a lookback
+    # that passes, then each item of the grid, all before a file is opened.
+    _check_out_dirs(args, "--out")
     cfg = _config_from_args(args, sys.maxsize)
     lookbacks = _grid(
         "--lookbacks-days",

@@ -141,9 +141,11 @@ _SKIP_SPAN = 512
 _STEP_SLICE = 32
 # The mark of an element is 1 when it is close to pattern[0], plus 2 when it
 # is close to pattern[1] (always, for a pattern of one).  The scan steps from
-# each mark 1 or 3 that a mark 2 or 3 follows or that ends the span.
+# each mark 1 or 3 that a mark 2 or 3 follows or that ends the span.  Marks
+# take only the bytes 0-3, so that is a mark 1 or 3 that no mark 0 or 1
+# follows: a negative lookahead, which needs no alternation with the end.
 _MARK_NEXT = bytes.maketrans(b"\x00\x01", b"\x02\x03")
-_CANDIDATE = re.compile(rb"[\x01\x03](?=[\x02\x03]|\Z)")
+_CANDIDATE = re.compile(rb"[\x01\x03](?![\x00\x01])")
 
 
 def _state0_marks(

@@ -252,3 +252,101 @@ class TestBatchedFit:
         stacks = [call.args[0].shape[0] for call in spy.call_args_list]
         assert max(stacks) == baseline_ar._CHUNK and stacks.count(1) >= baseline_ar._CHUNK
         assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+
+class TestSilentHistories:
+    """A window whose history holds no nonzero minute is a lag-0 model, never fitted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.integers(1, 5),
+        st.integers(12, 120),
+        st.sampled_from(["lo", "t - 1"]),
+        st.data(),
+    )
+    def test_sparse_series_bit_for_bit_as_window_local(self, k, h, stride, lookback, lone, data):
+        # Long zero stretches with short bursts; with k below 4 the first
+        # histories are too short to fit.  One window's history then holds a
+        # single nonzero minute, at its lo or at t - 1: a fit that reads
+        # only zero targets, or one nonzero target on zero lags.
+        cfg = DetectorConfig(k=k, h=h, lookback=max(lookback, k + h), stride=stride)
+        n = data.draw(st.integers(cfg.lookback + 20, cfg.lookback + 200))
+        values = [0.0] * n
+        for _ in range(data.draw(st.integers(0, 4))):
+            start = data.draw(st.integers(0, n - 1))
+            burst = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=5))
+            for i, c in enumerate(burst[: n - start], start):
+                values[i] = float(c)
+        t, lo, _ = data.draw(st.sampled_from(_plan_windows(_series(values), cfg)))
+        values[lo:t] = [0.0] * (t - lo)
+        values[lo if lone == "lo" else t - 1] = float(data.draw(st.integers(1, 50)))
+        windows = _plan_windows(_series(values), cfg)
+        got = _predict_ar(values, cfg, windows)
+        assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+    def test_negative_zero_minutes_flag_and_score_as_window_local(self):
+        # Silent histories of -0.0, of +0.0 and -0.0 mixed, and of +0.0,
+        # each followed by a burst, so that the observed windows after them
+        # are zero or not.  Should a fit and the lag-0 mean give zeros of
+        # different signs, mse and cosine read them alike.
+        values = (
+            [-0.0] * 60
+            + [9.0, 4.0, 6.0]
+            + [0.0, -0.0] * 40
+            + [3.0] * 5
+            + [0.0] * 50
+            + [-0.0, 2.0] * 30
+            + [-0.0] * 40
+        )
+        series = _series(values, start=3)
+        cfg = DetectorConfig(k=6, h=6, lookback=24, stride=3)
+        windows = _plan_windows(series, cfg)
+        reference = _decide(series, cfg, windows, _window_local_predictions(values, cfg, windows))
+        got = detect_series_ar(series, cfg)
+        assert any(f.mse for f in got) and not all(f.cosine for f in got)
+        assert _bits(got) == _bits(reference)
+
+    def test_no_silent_window_reaches_a_fit(self):
+        # Zero stretches, noise, and a constant stretch whose stacks do not
+        # factor, so windows reach both the stacked fit and fit_ar alone.
+        rng = np.random.default_rng(9)
+        values = np.concatenate(
+            [np.zeros(150), rng.integers(0, 50, 150), np.zeros(200), np.full(300, 1e4), np.zeros(150)]
+        ).tolist()
+        cfg = DetectorConfig(k=12, h=12, lookback=100, stride=10)
+        windows = _plan_windows(_series(values), cfg)
+        fitted = [(lo, t) for t, lo, _ in windows if t - lo >= 4 and any(values[lo:t])]
+        silent = [(lo, t) for t, lo, _ in windows if t - lo >= 4 and not any(values[lo:t])]
+        assert fitted and silent
+        stacked = []
+        real_fit = baseline_ar._LaggedSums.fit
+
+        def fit(self, lo, t, max_lag):
+            # the sums of the whole series, not those fit_ar builds alone
+            if self._sums.shape[1] == len(values) + 1:
+                stacked.extend(zip(lo.tolist(), t.tolist()))
+            return real_fit(self, lo, t, max_lag)
+
+        with mock.patch.object(baseline_ar._LaggedSums, "fit", fit), mock.patch.object(
+            baseline_ar, "fit_ar", wraps=baseline_ar.fit_ar
+        ) as alone:
+            got = _predict_ar(values, cfg, windows)
+        histories = [call.args[0] for call in alone.call_args_list]
+        assert histories and all(np.any(history) for history in histories)
+        assert not set(stacked) & set(silent)
+        assert set(fitted) <= set(stacked)
+        assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_series_fits_nothing(self, zero):
+        values = [zero] * 400
+        cfg = DetectorConfig(k=3, h=5, lookback=60, stride=4)
+        windows = _plan_windows(_series(values), cfg)
+        with mock.patch.object(baseline_ar, "_solve") as solve, mock.patch.object(
+            baseline_ar, "fit_ar"
+        ) as alone:
+            got = _predict_ar(values, cfg, windows)
+        assert not solve.called and not alone.called
+        assert got == [[0.0] * cfg.h] * len(windows)

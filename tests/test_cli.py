@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dnswatch import cli, evalharness
 from dnswatch.cli import _event_to_json, _load_series_dir, main
 from dnswatch.detector import AnomalyEvent
 from dnswatch.ingest import MAX_SPAN_MINUTES
@@ -351,6 +352,46 @@ class TestExitCodes:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         assert f"{series_dir / name}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sub, flag",
+        [("gen", "--out-events"), ("gen", "--out-truth"), ("detect", "--report"),
+         ("detect", "--emit-windows"), ("sweep", "--out")],
+    )
+    def test_output_in_a_missing_directory_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, sub, flag
+    ):
+        events, truth = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        inputs = set(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        out.mkdir()
+        outputs = {
+            "gen": {"--out-events": out / "e.csv", "--out-truth": out / "t.csv"},
+            "detect": {"--report": out / "r.json", "--emit-windows": out / "w.csv"},
+            "sweep": {"--out": out / "s.csv"},
+        }[sub]
+        missing = tmp_path / "missing" / "x.csv"
+        outputs[flag] = missing
+        args = {
+            "gen": BASE_GEN[1:],
+            "detect": ["--series-dir", series_dir, "--method", "ar"],
+            "sweep": ["--events", events, "--truth", truth, "--methods", "ar",
+                      "--lookbacks-days", "0.04"],
+        }[sub]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the output directory was checked")
+
+        for module in (cli, evalharness):
+            monkeypatch.setattr(module, "detect_series", no_work)
+            monkeypatch.setattr(module, "detect_series_ar", no_work)
+        monkeypatch.setattr(cli, "iter_events", no_work)
+        assert run_cli([sub, *args, *(a for pair in outputs.items() for a in pair)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {missing}: {missing.parent} is not a directory" in err
+        assert set(tmp_path.rglob("*")) == inputs | {out}  # nothing written
 
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -180,6 +182,18 @@ class TestScan:
         assert 1000 >= matching._SKIP_SPAN and index.codes is not None
         assert scan(index, [1.0], Tolerance(0.0, 0.0), 0, 1001) == [1000]
         assert scan(index, [1.0], Tolerance(0.0, 0.0), 2, 1002) == [1000, 1001]
+
+    def test_candidate_pattern_reads_marks_as_the_positive_lookahead(self):
+        # A mark 1 or 3 that a mark 2 or 3 follows or that ends the span, as
+        # first spelled: both find the same candidate from every start
+        # position of every mark string up to 7 long.
+        spelled = re.compile(rb"[\x01\x03](?=[\x02\x03]|\Z)")
+        for n in range(8):
+            for marks in map(bytes, itertools.product(range(4), repeat=n)):
+                for pos in range(n + 1):
+                    want = spelled.search(marks, pos)
+                    got = matching._CANDIDATE.search(marks, pos)
+                    assert (got and got.span()) == (want and want.span()), (marks, pos)
 
     @pytest.mark.parametrize("lo, hi", [(-1, 5), (3, 2), (0, 11)])
     def test_span_outside_the_text_is_rejected(self, lo, hi):
