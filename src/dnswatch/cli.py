@@ -12,11 +12,13 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
@@ -85,14 +87,40 @@ def _config_from_args(args: argparse.Namespace, lookback: int) -> DetectorConfig
     )
 
 
-def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
-    """Reject an output flag whose directory does not exist, before any input
-    is read or any work is done.  Nothing is opened here: an output path that
-    names an input must not be truncated before the input is read."""
-    for flag in flags:
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(
+    args: argparse.Namespace, outputs: Sequence[str], inputs: Sequence[str] = ()
+) -> None:
+    """Reject an output flag whose directory does not exist, or whose file is
+    that of an input flag or of another output flag, before any input is read
+    or any work is done.  Nothing is opened here: an output path that names an
+    input must not be truncated before the input is read."""
+    seen = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in inputs]
+    for flag in outputs:
         path = getattr(args, flag[2:].replace("-", "_"))
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: {Path(path).parent} is not a directory")
+        for other, other_path in seen:
+            if _same_file(path, other_path):
+                raise ValueError(f"{flag} {path} and {other} {other_path} name the same file")
+        seen.append((flag, path))
+
+
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Prefix a ParseError raised inside with the path of the file it is about."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_attack(text: str) -> AttackSpec:
@@ -126,7 +154,7 @@ def _profile_from_args(args: argparse.Namespace) -> SynthProfile:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _check_out_dirs(args, "--out-events", "--out-truth")
+    _check_outputs(args, ["--out-events", "--out-truth"])
     profile = _profile_from_args(args)
     with open(args.out_events, "w", newline="") as fh:
         count = write_events(fh, iter_events(profile))
@@ -145,7 +173,7 @@ def _series_filename(key: SeriesKey) -> str:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    with open(args.events, newline="") as fh:
+    with open(args.events, newline="") as fh, _naming(args.events):
         series = aggregate_all(parse_events(fh))
     # detect reads every CSV in the directory, so one left by an earlier
     # capture would be scored as part of this one.
@@ -224,7 +252,11 @@ def _event_to_json(ev: AnomalyEvent) -> dict:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _check_out_dirs(args, "--report", "--emit-windows")
+    _check_outputs(args, ["--report", "--emit-windows"])
+    # detect reads every CSV in --series-dir, the next run included
+    for flag, path in (("--report", args.report), ("--emit-windows", args.emit_windows)):
+        if path and path.endswith(".csv") and _same_file(Path(path).parent, args.series_dir):
+            raise ValueError(f"{flag} {path} is a series file of --series-dir {args.series_dir}")
     cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
@@ -281,7 +313,7 @@ def _load_report(path: str) -> list[AnomalyEvent]:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     events = _load_report(args.report)
-    with open(args.truth, newline="") as fh:
+    with open(args.truth, newline="") as fh, _naming(args.truth):
         truth = parse_ground_truth(fh)
     bounds = [iv.start_minute for iv in truth] + [ev.start_minute for ev in events]
     ends = [iv.end_minute for iv in truth] + [ev.end_minute for ev in events]
@@ -317,9 +349,10 @@ def _method(name: str) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # The output's directory is checked, then the other flags at a lookback
-    # that passes, then each item of the grid, all before a file is opened.
-    _check_out_dirs(args, "--out")
+    # The output is checked against its directory and the inputs, then the
+    # other flags at a lookback that passes, then each item of the grid, all
+    # before a file is opened.
+    _check_outputs(args, ["--out"], ["--events", "--truth"])
     cfg = _config_from_args(args, sys.maxsize)
     lookbacks = _grid(
         "--lookbacks-days",
@@ -328,9 +361,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     thresholds = _grid("--score-thresholds", args.score_thresholds, int)
     methods = _grid("--methods", args.methods, _method)
-    with open(args.events, newline="") as fh:
+    with open(args.events, newline="") as fh, _naming(args.events):
         series = aggregate_all(parse_events(fh))
-    with open(args.truth, newline="") as fh:
+    with open(args.truth, newline="") as fh, _naming(args.truth):
         truth = parse_ground_truth(fh)
     rows = sweep(series, truth, cfg, lookbacks, thresholds, methods)
     with open(args.out, "w", newline="") as fh:

@@ -1,7 +1,11 @@
 """Parse event and ground-truth files, aggregate events into minute series.
 
 Event files are CSV with header ``ts_epoch_s,src_ip,dst_ip,direction,malformed``
-(direction ``tx`` or ``rx``, malformed ``0`` or ``1``).  Ground-truth files
+(direction ``tx`` or ``rx``, malformed ``0`` or ``1``), one line per packet,
+so a run of identical packets is a run of identical lines.  A
+:class:`DnsEventRecord` stands for ``count`` identical packets: the events
+reader reads the file in blocks of lines and parses each distinct line of a
+block once, and the writer formats each run's row once.  Ground-truth files
 are CSV with header ``start_minute,end_minute,label``.  Parsing is streaming
 and single pass; malformed lines raise :class:`ParseError` naming the line.
 """
@@ -9,8 +13,10 @@ and single pass; malformed lines raise :class:`ParseError` naming the line.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from itertools import chain, groupby, islice, repeat
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .model import FeatureKind, MinuteSeries, SeriesKey
 
@@ -21,6 +27,10 @@ _DIRECTIONS = ("tx", "rx")
 # Every series is zero-filled over the span of the whole record set, so one
 # stray timestamp years away would cost a float per minute per series.
 MAX_SPAN_MINUTES = 366 * 1440
+# Lines the events reader counts at a time.  Far larger blocks merge few more
+# repeats, since gen writes each run in one place, but slow down a file whose
+# lines are all distinct.
+_BLOCK_LINES = 1024
 
 
 class ParseError(ValueError):
@@ -28,11 +38,14 @@ class ParseError(ValueError):
 
 
 class DnsEventRecord(NamedTuple):
+    """``count`` identical packets: one events line, written ``count`` times."""
+
     ts: int  # epoch seconds
     src_ip: str
     dst_ip: str
     direction: str  # "tx" or "rx" relative to the monitored subnet
     malformed: bool
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -47,44 +60,110 @@ class GroundTruthInterval:
 
 
 def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
-    """Yield records in file order; raises on the first bad line."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
+    """Yield one record per distinct line of each block, counting its copies.
+
+    The file is read in blocks of ``_BLOCK_LINES`` lines.  The identical lines
+    of a block are counted, each distinct line is parsed once, and its record
+    carries the count; records follow the order in which their lines first
+    occur in the block.  A quoted field may span lines, so from the first
+    block that holds a ``"`` on, rows are parsed one by one, each with count
+    1.  Raises :class:`ParseError` on the first bad line, numbered as the rows
+    of a ``csv.reader`` over the file are.
+    """
+    lines = iter(stream)
+    header = next(csv.reader(lines), None)
     if header != EVENTS_HEADER:
         raise ParseError(f"bad events header: expected {','.join(EVENTS_HEADER)}, got {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        ts_raw, src, dst, direction, malformed = row
-        try:
-            ts = int(float(ts_raw))
-        except ValueError:
-            raise ParseError(f"line {lineno}: unparsable timestamp {ts_raw!r}") from None
-        except OverflowError:
-            raise ParseError(f"line {lineno}: infinite timestamp {ts_raw!r}") from None
-        if ts < 0:
-            raise ParseError(f"line {lineno}: negative timestamp {ts_raw!r}")
-        if direction not in _DIRECTIONS:
-            raise ParseError(
-                f"line {lineno}: field 'direction' must be tx or rx, got {direction!r}"
-            )
-        if malformed not in ("0", "1"):
-            raise ParseError(f"line {lineno}: field 'malformed' must be 0 or 1, got {malformed!r}")
-        # the same record as DnsEventRecord(...), without a call to the
-        # generated Python-level __new__ for every line
-        yield tuple.__new__(DnsEventRecord, (ts, src, dst, direction, malformed == "1"))
+    new = tuple.__new__  # looked up once, not for every row
+    for pairs, lineno in _row_groups(lines):
+        for row, count in pairs:
+            try:
+                ts_raw, src, dst, direction, malformed = row
+            except ValueError:
+                if not row:
+                    continue
+                raise ParseError(f"line {lineno(row)}: expected 5 fields, got {len(row)}") from None
+            try:
+                ts = int(float(ts_raw))
+            except ValueError:
+                raise ParseError(f"line {lineno(row)}: unparsable timestamp {ts_raw!r}") from None
+            except OverflowError:
+                raise ParseError(f"line {lineno(row)}: infinite timestamp {ts_raw!r}") from None
+            if ts < 0:
+                raise ParseError(f"line {lineno(row)}: negative timestamp {ts_raw!r}")
+            if direction not in _DIRECTIONS:
+                raise ParseError(
+                    f"line {lineno(row)}: field 'direction' must be tx or rx, got {direction!r}"
+                )
+            if malformed not in ("0", "1"):
+                raise ParseError(
+                    f"line {lineno(row)}: field 'malformed' must be 0 or 1, got {malformed!r}"
+                )
+            # the IPs that aggregate_all keys a series on
+            if not (src and dst):
+                if direction == "tx" and not src:
+                    raise ParseError(f"line {lineno(row)}: field 'src_ip' is empty on a tx row")
+                if direction == "rx" and malformed == "1" and not dst:
+                    raise ParseError(
+                        f"line {lineno(row)}: field 'dst_ip' is empty on a malformed rx row"
+                    )
+            # the same record as DnsEventRecord(...), without a call to the
+            # generated Python-level __new__ for every row
+            yield new(DnsEventRecord, (ts, src, dst, direction, malformed == "1", count))
+
+
+def _row_groups(lines: Iterator[str]) -> Iterator[tuple[Iterator, Callable[[list[str]], int]]]:
+    """The ``(row, count)`` pairs of the lines after an events header, in groups.
+
+    Each group comes with ``lineno(row)``, which numbers a bad row just taken
+    from the group.  Without quotes, a group is a block of lines and its rows
+    are the block's distinct lines, with their counts; a bad row is the key of
+    the counter that ``reader.line_num`` points at, and its first copy is the
+    block's first bad line.  From the first block that holds a ``"`` on, a
+    group is a block of rows with count 1, and a bad row is the first row of
+    its group equal to it.  A ``lineno`` reads its group's variables, so it
+    holds only until the next group is asked for.
+    """
+    first = 2  # the number of the group's first row
+    for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
+        counts = Counter(block)  # keys in order of first occurrence
+        if '"' in "".join(counts):
+            break
+        reader = csv.reader(counts)
+        yield zip(reader, counts.values()), lambda row: first + block.index(
+            next(islice(counts, reader.line_num - 1, None))
+        )
+        first += len(block)
+    else:
+        return
+    rows = csv.reader(chain(block, lines))
+    for chunk in iter(lambda: list(islice(rows, _BLOCK_LINES)), []):
+        yield zip(chunk, repeat(1)), lambda row: first + chunk.index(row)
+        first += len(chunk)
+
+
+class _Formatted:
+    """A ``csv.writer`` target whose ``writerow`` returns the formatted line."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
 
 
 def write_events(stream: IO[str], records: Iterable[DnsEventRecord]) -> int:
-    writer = csv.writer(stream)
-    writer.writerow(EVENTS_HEADER)
-    count = 0
-    for rec in records:
-        writer.writerow([rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed)])
-        count += 1
-    return count
+    """Write each record as ``count`` identical lines; return the packets written.
+
+    Consecutive equal records form one run, whose row is formatted once.
+    """
+    formatted = csv.writer(_Formatted()).writerow
+    stream.write(formatted(EVENTS_HEADER))
+    packets = 0
+    for rec, run in groupby(records):
+        n = rec.count * len(list(run))
+        row = (rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed))
+        stream.write(formatted(row) * n)
+        packets += n
+    return packets
 
 
 def parse_ground_truth(stream: IO[str]) -> list[GroundTruthInterval]:
@@ -122,28 +201,29 @@ def _zero_filled(counts: dict[int, int], lo: int, hi: int) -> tuple[int, ...]:
 def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSeries]:
     """Aggregate one pass of records into all three feature families.
 
-    Feature A counts every record per minute globally; feature B counts
-    received malformed records per minute keyed by the receiver; feature C
-    counts transmitted records per minute keyed by the sender.  Every
-    produced series is zero-filled over the minute span of the whole record
-    set, which may not exceed ``MAX_SPAN_MINUTES``.
+    Each record counts as its ``count`` packets.  Feature A counts every
+    packet per minute globally; feature B counts received malformed packets
+    per minute keyed by the receiver; feature C counts transmitted packets
+    per minute keyed by the sender.  Every produced series is zero-filled
+    over the minute span of the whole record set, which may not exceed
+    ``MAX_SPAN_MINUTES``.
     """
     total: dict[int, int] = {}
     malformed_rx: dict[str, dict[int, int]] = {}
     transmitted: dict[str, dict[int, int]] = {}
-    for ts, src, dst, direction, malformed in records:
+    for ts, src, dst, direction, malformed, count in records:
         minute = ts // 60
-        total[minute] = total.get(minute, 0) + 1
+        total[minute] = total.get(minute, 0) + count
         if direction == "tx":
             per = transmitted.get(src)
             if per is None:
                 per = transmitted[src] = {}
-            per[minute] = per.get(minute, 0) + 1
+            per[minute] = per.get(minute, 0) + count
         elif malformed and direction == "rx":
             per = malformed_rx.get(dst)
             if per is None:
                 per = malformed_rx[dst] = {}
-            per[minute] = per.get(minute, 0) + 1
+            per[minute] = per.get(minute, 0) + count
     if not total:
         return {}
     lo, hi = min(total), max(total)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -296,13 +297,87 @@ class TestExitCodes:
         (["60,a,b,tx,0", "inf,a,b,tx,0"], "line 3: infinite timestamp 'inf'"),
         (["60,a,b,tx,0", f"{60 * (1 + MAX_SPAN_MINUTES)},a,b,tx,0"],
          f"events span minutes 1 to {1 + MAX_SPAN_MINUTES}"),
-    ], ids=["inf-timestamp", "span-over-bound"])
+        (["60,,10.0.1.53,tx,0"], "line 2: field 'src_ip' is empty on a tx row"),
+        (["60,a,b,tx,0"] * 3 + ["60,10.0.0.66,,rx,1"],
+         "line 5: field 'dst_ip' is empty on a malformed rx row"),
+    ], ids=["inf-timestamp", "span-over-bound", "empty-src-ip", "empty-dst-ip"])
     def test_bad_events_exit_2(self, tmp_path, capsys, rows, message):
         events = tmp_path / "events.csv"
         events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n" + "\n".join(rows) + "\n")
         assert run_cli(["ingest", "--events", events, "--out-dir", tmp_path / "s"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("sub, flag", [
+        ("ingest", "--events"), ("sweep", "--events"), ("sweep", "--truth"), ("eval", "--truth"),
+    ])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, sub, flag):
+        events, truth = gen_small(tmp_path)
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        bad = tmp_path / "bad.csv"
+        if flag == "--events":
+            bad.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n60,a,b,tx,0\nsoon,a,b,tx,0\n")
+            message = "line 3: unparsable timestamp 'soon'"
+        else:
+            bad.write_text("start_minute,end_minute,label\n5,2,x\n")
+            message = "line 2: end_minute 2 before start_minute 5"
+        args = {
+            "ingest": ["--events", events, "--out-dir", tmp_path / "s"],
+            "sweep": ["--events", events, "--truth", truth, "--out", tmp_path / "o.csv",
+                      "--methods", "ar", "--lookbacks-days", "0.04"],
+            "eval": ["--report", report, "--truth", truth],
+        }[sub]
+        args[args.index(flag) + 1] = bad
+        assert run_cli([sub, *args]) == 2
+        assert f"dnswatch: {bad}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, flag, other", [
+        ("gen", "--out-truth", "--out-events"),
+        ("sweep", "--out", "--events"),
+        ("sweep", "--out", "--truth"),
+        ("detect", "--emit-windows", "--report"),
+    ])
+    @pytest.mark.parametrize("link", ["same-path", "hard-link"])
+    def test_output_that_names_another_file_flag_exits_2_writing_nothing(
+        self, tmp_path, capsys, sub, flag, other, link
+    ):
+        events, truth = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        args = {
+            "gen": [*BASE_GEN[1:], "--out-events", events, "--out-truth", truth],
+            "sweep": ["--events", events, "--truth", truth, "--out", tmp_path / "o.csv",
+                      "--methods", "ar", "--lookbacks-days", "0.04"],
+            "detect": ["--series-dir", series_dir, "--method", "ar", "--report", report,
+                       "--emit-windows", tmp_path / "w.csv"],
+        }[sub]
+        target = args[args.index(other) + 1]
+        if link == "hard-link":
+            os.link(target, tmp_path / "alias")
+            target = tmp_path / "alias"
+        args[args.index(flag) + 1] = target
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run_cli([sub, *args]) == 2
+        assert f"{flag} {target} and {other} " in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("flag, name", [("--report", "A.csv"), ("--emit-windows", "new.csv")])
+    def test_detect_output_in_the_series_dir_exits_2_writing_nothing(self, tmp_path, capsys, flag, name):
+        events, _ = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        before = {p: p.read_bytes() for p in series_dir.iterdir()}
+        outputs = {"--report": tmp_path / "r.json", "--emit-windows": tmp_path / "w.csv"}
+        outputs[flag] = tmp_path / "." / "series" / name
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        *(a for pair in outputs.items() for a in pair)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {outputs[flag]} is a series file of --series-dir {series_dir}" in err
+        assert {p: p.read_bytes() for p in series_dir.iterdir()} == before
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "w.csv").exists()
 
     def test_ingest_refuses_series_files_of_another_capture(self, tmp_path, capsys):
         header = "ts_epoch_s,src_ip,dst_ip,direction,malformed\n"

@@ -1,9 +1,12 @@
+import csv
 import io
 import random
+from collections import Counter
 
 import pytest
 
 from dnswatch.ingest import (
+    EVENTS_HEADER as EVENTS_FIELDS,
     DnsEventRecord,
     GroundTruthInterval,
     MAX_SPAN_MINUTES,
@@ -15,13 +18,14 @@ from dnswatch.ingest import (
     write_ground_truth,
 )
 from dnswatch.model import FeatureKind, SeriesKey
+from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
 def _parse(text):
     return list(parse_events(io.StringIO(text)))
 
 
-EVENTS_HEADER = "ts_epoch_s,src_ip,dst_ip,direction,malformed\n"
+EVENTS_HEADER = ",".join(EVENTS_FIELDS) + "\n"
 
 
 class TestParseEvents:
@@ -56,6 +60,26 @@ class TestParseEvents:
         with pytest.raises(ParseError, match="5 fields"):
             _parse(EVENTS_HEADER + "1,a,b,tx\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("60,,10.0.1.53,tx,0", "line 3: field 'src_ip' is empty on a tx row"),
+        ("60,10.0.0.1,,rx,1", "line 3: field 'dst_ip' is empty on a malformed rx row"),
+    ])
+    def test_empty_ip_that_would_key_a_series_names_line(self, row, message):
+        with pytest.raises(ParseError, match=message):
+            _parse(EVENTS_HEADER + "60,a,b,tx,0\n" + row + "\n")
+
+    @pytest.mark.parametrize("row", ["60,,10.0.1.53,rx,0", "60,,10.0.1.53,rx,1", "60,10.0.0.1,,tx,1"])
+    def test_empty_ip_that_keys_no_series_is_accepted(self, row):
+        assert len(_parse(EVENTS_HEADER + row + "\n")) == 1
+
+    def test_identical_lines_are_one_counted_record(self):
+        line = "60,10.0.0.1,10.0.1.53,tx,0\n"
+        records = _parse(EVENTS_HEADER + line * 3 + "120,a,b,rx,1\n" + line)
+        assert records == [
+            DnsEventRecord(60, "10.0.0.1", "10.0.1.53", "tx", False, 4),
+            DnsEventRecord(120, "a", "b", "rx", True),
+        ]
+
     def test_serialize_parse_identity(self):
         rng = random.Random(8)
         records = [
@@ -71,6 +95,162 @@ class TestParseEvents:
         buf = io.StringIO()
         write_events(buf, records)
         assert _parse(buf.getvalue()) == records
+
+
+def _reference_parse(stream):
+    """One count-1 record per row of a csv.reader, named by its row number."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header != EVENTS_FIELDS:
+        raise ParseError(f"bad events header: expected {','.join(EVENTS_FIELDS)}, got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        ts_raw, src, dst, direction, malformed = row
+        try:
+            ts = int(float(ts_raw))
+        except ValueError:
+            raise ParseError(f"line {lineno}: unparsable timestamp {ts_raw!r}") from None
+        except OverflowError:
+            raise ParseError(f"line {lineno}: infinite timestamp {ts_raw!r}") from None
+        if ts < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {ts_raw!r}")
+        if direction not in ("tx", "rx"):
+            raise ParseError(f"line {lineno}: field 'direction' must be tx or rx, got {direction!r}")
+        if malformed not in ("0", "1"):
+            raise ParseError(f"line {lineno}: field 'malformed' must be 0 or 1, got {malformed!r}")
+        if direction == "tx" and not src:
+            raise ParseError(f"line {lineno}: field 'src_ip' is empty on a tx row")
+        if direction == "rx" and malformed == "1" and not dst:
+            raise ParseError(f"line {lineno}: field 'dst_ip' is empty on a malformed rx row")
+        yield DnsEventRecord(ts, src, dst, direction, malformed == "1")
+
+
+_GOOD_ROWS = [
+    "60,10.0.0.11,10.0.1.53,tx,0",
+    "60,10.0.0.12,10.0.1.53,tx,0",
+    "120,10.0.0.66,10.0.1.99,rx,1",
+    "120,10.0.0.66,10.0.1.99,tx,0",
+    "179.5,10.0.0.11,10.0.1.53,rx,0",
+    "180,,10.0.1.53,rx,0",
+]
+_BAD_ROWS = [
+    "soon,a,b,tx,0",
+    "inf,a,b,tx,0",
+    "-60,a,b,tx,0",
+    "60,a,b,up,0",
+    "60,a,b,tx,2",
+    "60,a,b,tx",
+    "60,,b,tx,0",
+    "60,a,,rx,1",
+]
+# a quoted field that spans two lines, and one that does not
+_QUOTED_ROWS = ['60,"10.0.0.\n11",10.0.1.53,tx,0', '"120",10.0.0.66,10.0.1.99,rx,1']
+_EOLS = ["\n", "\r\n"]
+
+
+def _runs(rng, lines):
+    """Runs of repeated good rows, some long enough to cross a block edge."""
+    out = []
+    while len(out) < lines:
+        row = rng.choice(_GOOD_ROWS) if rng.random() < 0.97 else ""
+        out += [row + rng.choice(_EOLS)] * rng.choice([1, 1, 2, 7, 60, 400, 1500])
+    return out[:lines]
+
+
+def _random_events(rng):
+    lines = _runs(rng, rng.randrange(3000))
+    for rows, chance in ((_QUOTED_ROWS, 0.3), (_BAD_ROWS, 0.5)):
+        if lines and rng.random() < chance:
+            at = rng.randrange(len(lines))
+            lines[at:at] = [rng.choice(rows) + rng.choice(_EOLS)] * rng.choice([1, 3])
+    return lines
+
+
+def _block_edge_cases():
+    good, bad, quoted = _GOOD_ROWS[0] + "\n", _BAD_ROWS[3] + "\n", _QUOTED_ROWS[0] + "\n"
+    return {
+        "runs-cross-block-edges": [good] * 1000 + [_GOOD_ROWS[1] + "\n"] * 1100 + [good] * 30,
+        "crlf-and-lf-of-one-row": [good, _GOOD_ROWS[0] + "\r\n"] * 700,
+        "blank-lines": ["\n", good, "\r\n"] * 800,
+        "quoted-in-first-block": [good] * 10 + [quoted] + [good] * 2000,
+        "quoted-in-later-block": [good] * 2500 + [quoted, good, quoted] + [good] * 100,
+        "quoted-then-bad-row": [good] * 1500 + [quoted] + [good] * 5 + [bad] + [good] * 10,
+        "bad-row-repeated-in-its-block": [good] * 1500 + [bad, good, bad] + [good] * 10,
+        "bad-row-first-in-later-block": [good] * 2048 + [bad] + [good] * 10,
+        "bad-row-after-many-copies": [good] * 1100 + [_GOOD_ROWS[2] + "\n"] * 900 + [bad, bad],
+    }
+
+
+def _outcome(parse, lines):
+    text = EVENTS_HEADER + "".join(lines)
+    try:
+        # newline="" as the command line opens events files
+        return list(parse(io.StringIO(text, newline="")))
+    except ParseError as exc:
+        return str(exc)
+
+
+def _packets(records):
+    """Each packet a record stands for, as a count-1 record."""
+    return Counter(DnsEventRecord(*rec[:5]) for rec in records for _ in range(rec.count))
+
+
+class TestCountedRuns:
+    """The block reader agrees with a per-row reader on every file."""
+
+    def _assert_agrees(self, lines):
+        got, want = _outcome(parse_events, lines), _outcome(_reference_parse, lines)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert _packets(got) == _packets(want)
+        assert aggregate_all(got) == aggregate_all(want)
+
+    @pytest.mark.parametrize("name", sorted(_block_edge_cases()))
+    def test_block_edge_case(self, name):
+        self._assert_agrees(_block_edge_cases()[name])
+
+    def test_bad_rows_in_later_blocks_are_named_as_by_rows(self):
+        cases = _block_edge_cases()
+        assert _outcome(parse_events, cases["bad-row-first-in-later-block"]) == (
+            "line 2050: field 'direction' must be tx or rx, got 'up'"
+        )
+        assert _outcome(parse_events, cases["bad-row-after-many-copies"]).startswith("line 2002: ")
+        assert _outcome(parse_events, cases["bad-row-repeated-in-its-block"]).startswith("line 1502: ")
+        # the quoted row spans two lines but is one row
+        assert _outcome(parse_events, cases["quoted-then-bad-row"]).startswith("line 1508: ")
+
+    def test_runs_are_counted_records(self):
+        records = _outcome(parse_events, _block_edge_cases()["runs-cross-block-edges"])
+        assert [rec.count for rec in records] == [1000, 24, 1024, 52, 30]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_files(self, seed):
+        self._assert_agrees(_random_events(random.Random(seed)))
+
+
+class TestWriteEvents:
+    def test_bytes_match_a_csv_writer_per_record(self):
+        profile = SynthProfile(days=1, high_rate=3000, low_rate=1200,
+                               attacks=(AttackSpec(700, 25, 10.0),), seed=7)
+        got = io.StringIO()
+        written = write_events(got, iter_events(profile))
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(EVENTS_FIELDS)
+        for rec in iter_events(profile):
+            writer.writerow([rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed)])
+        assert got.getvalue() == want.getvalue()
+        assert written == want.getvalue().count("\n") - 1
+
+    def test_record_with_a_count_writes_that_many_lines(self):
+        buf = io.StringIO()
+        assert write_events(buf, [DnsEventRecord(60, "a", "b", "rx", True, 3)]) == 3
+        assert buf.getvalue() == EVENTS_HEADER.replace("\n", "\r\n") + "60,a,b,rx,1\r\n" * 3
 
 
 class TestParseGroundTruth:
@@ -175,6 +355,13 @@ class TestAggregate:
 
     def test_empty_input(self):
         assert aggregate_all([]) == {}
+
+    def test_a_record_counts_as_its_packets(self):
+        counted = [_rec(5, direction="rx", malformed=True)._replace(count=4), _rec(5)._replace(count=3)]
+        expanded = [_rec(5, direction="rx", malformed=True)] * 4 + [_rec(5)] * 3
+        assert aggregate_all(counted) == aggregate_all(expanded)
+        total = aggregate_all(counted)[SeriesKey(FeatureKind.A_TOTAL_PACKETS)]
+        assert total.values == (7.0,)
 
     def test_span_bound_is_inclusive(self):
         records = [_rec(7), _rec(7 + MAX_SPAN_MINUTES - 1)]
