@@ -283,7 +283,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _load_report(path: str) -> list[AnomalyEvent]:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{path}: {exc}") from None
     if not isinstance(raw, list):
         raise ParseError(f"{path}: report must be a JSON list of events")
     events = []
@@ -306,7 +309,10 @@ def _load_report(path: str) -> list[AnomalyEvent]:
                 f"{path}: report item {i} end_minute {fields['end_minute']}"
                 f" before start_minute {fields['start_minute']}"
             )
-        fields["features"] = frozenset(FeatureKind(v) for v in fields["features"])
+        try:
+            fields["features"] = frozenset(map(FeatureKind, fields["features"]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: report item {i} key 'features': {exc}") from None
         events.append(AnomalyEvent(**fields))
     return events
 

@@ -68,10 +68,15 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     occur in the block.  A quoted field may span lines, so from the first
     block that holds a ``"`` on, rows are parsed one by one, each with count
     1.  Raises :class:`ParseError` on the first bad line, numbered as the rows
-    of a ``csv.reader`` over the file are.
+    of a ``csv.reader`` over the file are, or, where ``csv`` itself rejects
+    a line (a field over its size limit), at the line it stopped on.
     """
     lines = iter(stream)
-    header = next(csv.reader(lines), None)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if header != EVENTS_HEADER:
         raise ParseError(f"bad events header: expected {','.join(EVENTS_HEADER)}, got {header}")
     new = tuple.__new__  # looked up once, not for every row
@@ -117,29 +122,38 @@ def _row_groups(lines: Iterator[str]) -> Iterator[tuple[Iterator, Callable[[list
 
     Each group comes with ``lineno(row)``, which numbers a bad row just taken
     from the group.  Without quotes, a group is a block of lines and its rows
-    are the block's distinct lines, with their counts; a bad row is the key of
-    the counter that ``reader.line_num`` points at, and its first copy is the
+    are the block's distinct lines, with their counts; a bad row is the first
+    distinct line that parses to it, and that line's first copy is the
     block's first bad line.  From the first block that holds a ``"`` on, a
     group is a block of rows with count 1, and a bad row is the first row of
     its group equal to it.  A ``lineno`` reads its group's variables, so it
-    holds only until the next group is asked for.
+    holds only until the next group is asked for.  A line that ``csv``
+    rejects raises :class:`ParseError` here, named by its line.
     """
     first = 2  # the number of the group's first row
     for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
         counts = Counter(block)  # keys in order of first occurrence
         if '"' in "".join(counts):
             break
-        reader = csv.reader(counts)
-        yield zip(reader, counts.values()), lambda row: first + block.index(
-            next(islice(counts, reader.line_num - 1, None))
-        )
+        keys = list(counts)
+        reader = csv.reader(keys)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            line = keys[reader.line_num - 1]
+            raise ParseError(f"line {first + block.index(line)}: {exc}") from None
+        yield zip(rows, counts.values()), lambda row: first + block.index(keys[rows.index(row)])
         first += len(block)
     else:
         return
+    start = first  # lines and rows coincide up to here
     rows = csv.reader(chain(block, lines))
-    for chunk in iter(lambda: list(islice(rows, _BLOCK_LINES)), []):
-        yield zip(chunk, repeat(1)), lambda row: first + chunk.index(row)
-        first += len(chunk)
+    try:
+        for chunk in iter(lambda: list(islice(rows, _BLOCK_LINES)), []):
+            yield zip(chunk, repeat(1)), lambda row: first + chunk.index(row)
+            first += len(chunk)
+    except csv.Error as exc:
+        raise ParseError(f"line {start + rows.line_num - 1}: {exc}") from None
 
 
 class _Formatted:
@@ -168,22 +182,25 @@ def write_events(stream: IO[str], records: Iterable[DnsEventRecord]) -> int:
 
 def parse_ground_truth(stream: IO[str]) -> list[GroundTruthInterval]:
     reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != TRUTH_HEADER:
-        raise ParseError(f"bad truth header: expected {','.join(TRUTH_HEADER)}, got {header}")
     out = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            start, end = int(row[0]), int(row[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: unparsable minute bounds {row[:2]}") from None
-        if end < start:
-            raise ParseError(f"line {lineno}: end_minute {end} before start_minute {start}")
-        out.append(GroundTruthInterval(start, end, row[2]))
+    try:
+        header = next(reader, None)
+        if header != TRUTH_HEADER:
+            raise ParseError(f"bad truth header: expected {','.join(TRUTH_HEADER)}, got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                start, end = int(row[0]), int(row[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: unparsable minute bounds {row[:2]}") from None
+            if end < start:
+                raise ParseError(f"line {lineno}: end_minute {end} before start_minute {start}")
+            out.append(GroundTruthInterval(start, end, row[2]))
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     return out
 
 

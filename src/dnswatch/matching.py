@@ -26,31 +26,48 @@ levels), or for more than 256 levels a bucket of neighbouring ranks.  The
 scan calls ``x`` close to ``p`` when ``fl(x - p)`` lies in
 ``[-alpha, alpha]``, and correctly rounded subtraction is monotone in ``x``,
 so the levels close to ``p`` form one contiguous run of ranks; two
-bisections over the levels find it.  A 256-byte table then marks each byte
-close to ``P[0]`` and each close to ``P[1]`` (every byte, for a pattern of
-one), ``bytes.translate`` marks the scanned span, and one regex compiled at
-import finds the next element close to ``P[0]`` that is followed by one
-close to ``P[1]`` or ends the span.  The lookahead is exact because
-``pi[0] == 0``: state 1 failing at ``P[1]`` falls back to state 0 and
-compares that same element with ``P[0]``, just as a scan that never left
-state 0 would.  From each element found, the KMP steps, prefix-table
-fallbacks and beta check run as they always did until the state is back at
-0.  With buckets the marks cover a superset of the close elements, which
-only costs steps: a stepped element that does not advance the state leaves
-it at 0.  The index costs one byte per element plus the sorted levels, and
-``O(n log L)`` to build for ``n`` elements with ``L`` levels, so only a
-caller that scans one text many times keeps one and pays that; :func:`scan`
-skips only through a :class:`RankIndex` it is given, and :func:`search`
-steps its text.  A text holding NaN has no order to rank by and is stepped.
+bisections over the levels find it, and a 256-byte table that marks those
+codes 1 turns the span's bytes into its marks with one ``bytes.translate``.
+
+* **Candidates.**  The marks of ``P[0]`` and those of ``P[1]`` shifted back
+  by one, with a 1 for the span's last element (every element, for a
+  pattern of one), are ANDed as two big integers into the candidate
+  string: 1 where an element close to ``P[0]`` is followed by one close to
+  ``P[1]`` or ends the span.  ``bytes.find`` (a memchr) finds the next one.
+  The lookahead is exact because ``pi[0] == 0``: state 1 failing at
+  ``P[1]`` falls back to state 0 and compares that same element with
+  ``P[0]``, just as a scan that never left state 0 would.  From each
+  candidate the KMP steps, prefix-table fallbacks and beta check run as
+  they always did until the state is back at 0.
+* **Skip to state 2.**  With at most 256 levels the marks are exactly the
+  close elements, so for ``m >= 3`` a candidate with two elements after it
+  in the span leaves the scan at state 2 after its successor, and stepping
+  starts at the element after that with ``j = 2``.
+* **Exit at ``P[2]``.**  When also ``pi[1] == 0``, an element not marked
+  close to ``P[2]`` (a third translate) takes state 2 back to state 0 and
+  is compared with ``P[0]`` afresh, which is a state-0 search from it: the
+  scan searches again from there and steps nothing.
+
+With buckets the marks cover a superset of the close elements, which only
+costs steps: a stepped element that does not advance the state leaves it at
+0.  So a bucketed index finds its candidates the same way but steps each
+from state 0, neither skipping to state 2 nor exiting at ``P[2]``.  The
+index costs one byte per element plus the sorted levels, and ``O(n log L)``
+to build for ``n`` elements with ``L`` levels, so only a caller that scans
+one text many times keeps one and pays that; :func:`scan` skips only
+through a :class:`RankIndex` it is given, and :func:`search` steps its
+text.  A text holding NaN or an infinity gets no bytes and is stepped: NaN
+has no order to rank by, and ``inf - inf`` is NaN, which the scan never
+finds close although the infinite level lies inside its own run of ranks,
+and which at a state above 0 neither advances nor falls back.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
+from math import isfinite
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq
 from typing import Optional, Sequence
 
 
@@ -103,8 +120,10 @@ class RankIndex:
     element is the rank ``r`` of its value among the ``L`` levels, scaled to
     ``r * 256 // L``: the rank itself when there are at most 256 levels, a
     bucket of neighbouring ranks beyond.  ``codes`` is ``None`` when a value
-    is NaN.  Both are built on first use, so a sequence that is only ever
-    scanned over short spans never pays for them.
+    is NaN or infinite: NaN has no order to rank by, and ``inf - inf`` is
+    NaN, which neither advances the scan's state nor lets it fall back, so no
+    mark can stand for it.  Both are built on first use, so a sequence that
+    is only ever scanned over short spans never pays for them.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
@@ -116,8 +135,8 @@ class RankIndex:
 
     @cached_property
     def codes(self) -> Optional[bytes]:
-        if not all(map(eq, self.levels, self.levels)):
-            return None  # NaN equals nothing, itself included
+        if not all(map(isfinite, self.levels)):
+            return None  # NaN has no order, and inf - inf is NaN
         n = len(self.levels)
         code = dict(zip(self.levels, (r * 256 // n for r in range(n))))
         return bytes(map(code.__getitem__, self.values))
@@ -139,25 +158,31 @@ _SKIP_SPAN = 512
 # Elements copied for each slice stepped after a search; the state is checked
 # again after each slice.
 _STEP_SLICE = 32
-# The mark of an element is 1 when it is close to pattern[0], plus 2 when it
-# is close to pattern[1] (always, for a pattern of one).  The scan steps from
-# each mark 1 or 3 that a mark 2 or 3 follows or that ends the span.  Marks
-# take only the bytes 0-3, so that is a mark 1 or 3 that no mark 0 or 1
-# follows: a negative lookahead, which needs no alternation with the end.
-_MARK_NEXT = bytes.maketrans(b"\x00\x01", b"\x02\x03")
-_CANDIDATE = re.compile(rb"[\x01\x03](?![\x00\x01])")
 
 
-def _state0_marks(
+def _marks(index: RankIndex, p: float, alpha: float) -> bytes:
+    """A translate table that maps the codes of ``code_range(p, alpha)`` to 1
+    and every other code to 0."""
+    first, end = index.code_range(p, alpha)
+    return bytes(first) + b"\x01" * (end - first) + bytes(256 - end)
+
+
+def _candidates(
     index: RankIndex, pattern: Sequence[float], alpha: float, lo: int, hi: int
 ) -> bytes:
-    """The marks of ``index.values[lo:hi]``."""
-    table = bytearray(256)
-    first, end = index.code_range(pattern[0], alpha)
-    table[first:end] = b"\x01" * (end - first)
-    first, end = index.code_range(pattern[1], alpha) if len(pattern) > 1 else (0, 256)
-    table[first:end] = table[first:end].translate(_MARK_NEXT)
-    return index.codes[lo:hi].translate(table)
+    """1 at each position of ``index.values[lo:hi]`` marked close to
+    ``pattern[0]`` whose successor is marked close to ``pattern[1]`` or that
+    ends the span (every position marked close to ``pattern[0]``, for a
+    pattern of one); 0 elsewhere."""
+    codes = index.codes
+    head = codes[lo:hi].translate(_marks(index, pattern[0], alpha))
+    if len(pattern) == 1:
+        return head
+    # The successor's mark, shifted onto its predecessor; the last position
+    # has none and keeps its own.
+    succ = codes[lo + 1 : hi].translate(_marks(index, pattern[1], alpha)) + b"\x01"
+    both = int.from_bytes(head, "big") & int.from_bytes(succ, "big")
+    return both.to_bytes(hi - lo, "big")
 
 
 def scan(
@@ -183,28 +208,42 @@ def scan(
     beta = tol.beta
     pat = list(pattern)
     pi = prefix_function(pat, alpha)
-    find = None
-    if indexed and hi - lo >= _SKIP_SPAN and text.codes is not None:
-        marks = _state0_marks(text, pat, alpha, lo, hi)
-        find = _CANDIDATE.search
-    out: list[int] = []
-    # Positions count from lo, as in marks, so that short spans use only
-    # the small ints that Python keeps cached.
+    # Positions count from lo, as in the candidate string, so that short
+    # spans use only the small ints that Python keeps cached.
     span = hi - lo
+    cand = third = None
+    if indexed and span >= _SKIP_SPAN and text.codes is not None:
+        cand = _candidates(text, pat, alpha, lo, hi)
+        if m >= 3 and len(text.levels) <= 256:
+            # Ranks make the marks exact: a candidate's minute and its
+            # successor are close to pattern[0] and pattern[1], so they take
+            # the state to 2.  With pi[1] == 0, a minute not close to
+            # pattern[2] falls back to state 0 and is compared with
+            # pattern[0] afresh, as a search from it does; otherwise it
+            # falls back to state 1, so no minute exits.
+            if pi[1] == 0:
+                third = text.codes[lo:hi].translate(_marks(text, pat[2], alpha))
+            else:
+                third = b"\x01" * span
+    out: list[int] = []
     i = j = 0
     while i < span:
         stop = span
-        if find is not None:
+        if cand is not None:
             if j == 0:
-                found = find(marks, i)
-                if found is None:
+                i = cand.find(1, i)
+                if i < 0:
                     break
-                i = found.start()
+                if third is not None and i + 2 < span:
+                    i += 2
+                    if not third[i]:
+                        continue
+                    j = 2
             # State 0 usually returns within a few elements, so only a short
             # slice is copied before the state is checked again.
             stop = min(span, i + _STEP_SLICE)
         # Hot loop: local names only, abs() unrolled to a branch.  With a
-        # finder, it runs only until the state is back to 0.
+        # candidate string, it runs only until the state is back to 0.
         for i, x in enumerate(values[lo + i : lo + stop], i):
             d = x - pat[j]
             if d < 0.0:
@@ -225,7 +264,7 @@ def scan(
                     if err <= beta:
                         out.append(start)
                     j = 0
-            elif find is not None:
+            elif cand is not None:
                 break
         i += 1
     return out

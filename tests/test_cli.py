@@ -284,6 +284,22 @@ class TestExitCodes:
         assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"key"', "Expecting ':' delimiter: line 1 column 8 (char 7)"),
+        ('[{"key": "aggregate", "start_minute": 1, "end_minute": 2, "mse": 0.0,'
+         ' "cosine": null, "features": ["C", "Z"], "score": 5}]',
+         "report item 0 key 'features': 'Z' is not a valid FeatureKind"),
+        (b"[\xff]", "can't decode byte 0xff"),
+    ], ids=["truncated", "unknown-feature", "not-utf-8"])
+    def test_report_errors_name_the_file(self, tmp_path, capsys, text, message):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        path = tmp_path / "report.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dnswatch: {path}: ") and message in err, err
+
     def test_report_event_ending_before_it_starts_exits_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"
         truth.write_text("start_minute,end_minute,label\n")
@@ -331,6 +347,24 @@ class TestExitCodes:
         args[args.index(flag) + 1] = bad
         assert run_cli([sub, *args]) == 2
         assert f"dnswatch: {bad}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, header, row", [
+        ("ingest", "ts_epoch_s,src_ip,dst_ip,direction,malformed", "60,{},b,tx,0"),
+        ("eval", "start_minute,end_minute,label", "1,2,{}"),
+    ])
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, capsys, sub, header, row):
+        # csv rejects a field of more than 131,072 characters
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row.format('a')}\n{row.format('a' * 200_000)}\n")
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        args = {
+            "ingest": ["--events", bad, "--out-dir", tmp_path / "s"],
+            "eval": ["--report", report, "--truth", bad],
+        }[sub]
+        assert run_cli([sub, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {bad}: line 3: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize("sub, flag, other", [
         ("gen", "--out-truth", "--out-events"),

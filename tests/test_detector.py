@@ -319,20 +319,20 @@ class TestRankIndexOwner:
             return made[-1]
 
         with mock.patch.object(detector, "RankIndex", index_of), mock.patch.object(
-            matching, "_state0_marks", wraps=matching._state0_marks
-        ) as marks:
+            matching, "_candidates", wraps=matching._candidates
+        ) as candidates:
             _predict_asm(values, cfg, windows)
         assert len(made) == 1 and made[0].values is values
-        return made[0], marks
+        return made[0], candidates
 
     def test_long_histories_skip_through_the_series_index(self):
-        index, marks = self._run(1440)
-        assert marks.call_count > 0
-        assert all(call.args[0] is index for call in marks.call_args_list)
+        index, candidates = self._run(1440)
+        assert candidates.call_count > 0
+        assert all(call.args[0] is index for call in candidates.call_args_list)
 
     def test_short_histories_build_no_codes(self):
-        index, marks = self._run(58)
-        assert marks.call_count == 0
+        index, candidates = self._run(58)
+        assert candidates.call_count == 0
         assert "codes" not in vars(index) and "levels" not in vars(index)
 
 

@@ -224,6 +224,20 @@ class TestCountedRuns:
         # the quoted row spans two lines but is one row
         assert _outcome(parse_events, cases["quoted-then-bad-row"]).startswith("line 1508: ")
 
+    def test_field_over_the_csv_limit_is_named_by_its_line(self):
+        # csv rejects a field of more than 131,072 characters; the reader
+        # names the line it stopped on, in the header, among counted lines
+        # of a later block and after a quoted row that spans two lines
+        big = f"60,{'1' * 200_000},b,tx,0\n"
+        good, quoted = _GOOD_ROWS[0] + "\n", _QUOTED_ROWS[0] + "\n"
+        for text, line in [
+            (big, 1),
+            (EVENTS_HEADER + good * 1500 + big, 1502),
+            (EVENTS_HEADER + good * 3 + quoted + good + big, 8),
+        ]:
+            with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
+                list(parse_events(io.StringIO(text, newline="")))
+
     def test_runs_are_counted_records(self):
         records = _outcome(parse_events, _block_edge_cases()["runs-cross-block-edges"])
         assert [rec.count for rec in records] == [1000, 24, 1024, 52, 30]
@@ -264,6 +278,12 @@ class TestParseGroundTruth:
     def test_end_before_start_rejected(self):
         with pytest.raises(ParseError):
             parse_ground_truth(io.StringIO("start_minute,end_minute,label\n100,90,x\n"))
+
+    def test_field_over_the_csv_limit_is_named_by_its_line(self):
+        # a label that spans lines 3 and 4, stopped on line 4
+        text = f'start_minute,end_minute,label\n1,2,a\n3,4,"b\n{"c" * 200_000}"\n'
+        with pytest.raises(ParseError, match="^line 4: field larger than field limit"):
+            parse_ground_truth(io.StringIO(text, newline=""))
 
     def test_round_trip(self):
         intervals = [GroundTruthInterval(0, 10, "a"), GroundTruthInterval(5, 7, "b")]
