@@ -115,11 +115,13 @@ def _check_outputs(
 
 
 @contextlib.contextmanager
-def _naming(path: str) -> Iterator[None]:
-    """Prefix a ParseError raised inside with the path of the file it is about."""
+def _naming(path: str | Path) -> Iterator[None]:
+    """Prefix a ValueError raised inside, a ParseError, a byte that is not
+    UTF-8 or a series that a detector rejects, with the path of the file it
+    is about."""
     try:
         yield
-    except ParseError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -203,47 +205,42 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
         raise ParseError(f"no series CSVs found in {path}")
     first_span = None
     for f in files:
-        feature, sep, ip = f.stem.partition("_")
-        try:
+        with _naming(f):
+            feature, sep, ip = f.stem.partition("_")
             key = SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
-        except ValueError as exc:
-            raise ParseError(f"{f}: {exc}") from None
-        # Two names that decode to one key would otherwise overwrite each other.
-        canonical = _series_filename(key)
-        if canonical != f.name:
-            raise ParseError(f"{f}: series {key.label()} is stored as {canonical}, not {f.name}")
-        minutes: list[int] = []
-        values: list[float] = []
-        # Universal newlines: "\r\n" and "\r" end a line, as "\n" does.
-        with open(f) as fh:
-            header = fh.readline().strip()
-            if header != SERIES_HEADER:
-                raise ParseError(f"{f}: bad series header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                m_raw, _, v_raw = line.partition(",")
-                try:
-                    minutes.append(int(m_raw))
-                    values.append(float(v_raw))
-                except ValueError:
-                    raise ParseError(f"{f} line {lineno}: bad row {line!r}") from None
-        if not values:
-            raise ParseError(f"{f}: empty series")
-        if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
-            raise ParseError(f"{f}: minutes are not contiguous")
-        span = (minutes[0], minutes[-1])
-        first_span = first_span or span
-        if span != first_span:
-            raise ParseError(
-                f"{f}: minutes {span[0]}-{span[1]} differ from {files[0].name}"
-                f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
-            )
-        try:
+            # Two names that decode to one key would otherwise overwrite each other.
+            canonical = _series_filename(key)
+            if canonical != f.name:
+                raise ParseError(f"series {key.label()} is stored as {canonical}, not {f.name}")
+            minutes: list[int] = []
+            values: list[float] = []
+            # Universal newlines: "\r\n" and "\r" end a line, as "\n" does.
+            with open(f) as fh:
+                header = fh.readline().strip()
+                if header != SERIES_HEADER:
+                    raise ParseError(f"bad series header {header!r}")
+                for lineno, line in enumerate(fh, start=2):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    m_raw, _, v_raw = line.partition(",")
+                    try:
+                        minutes.append(int(m_raw))
+                        values.append(float(v_raw))
+                    except ValueError:
+                        raise ParseError(f"line {lineno}: bad row {line!r}") from None
+            if not values:
+                raise ParseError("empty series")
+            if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
+                raise ParseError("minutes are not contiguous")
+            span = (minutes[0], minutes[-1])
+            first_span = first_span or span
+            if span != first_span:
+                raise ParseError(
+                    f"minutes {span[0]}-{span[1]} differ from {files[0].name}"
+                    f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
+                )
             series[key] = MinuteSeries(minutes[0], tuple(values))
-        except ValueError as exc:
-            raise ParseError(f"{f}: {exc}") from None
     return series
 
 
@@ -260,7 +257,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
-    flags = {key: detect(series[key], cfg) for key in sorted(series)}
+    flags = {}
+    for key in sorted(series):
+        with _naming(Path(args.series_dir) / _series_filename(key)):
+            flags[key] = detect(series[key], cfg)
     events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
         json.dump([_event_to_json(ev) for ev in events], fh, indent=2)

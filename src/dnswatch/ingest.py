@@ -3,11 +3,12 @@
 Event files are CSV with header ``ts_epoch_s,src_ip,dst_ip,direction,malformed``
 (direction ``tx`` or ``rx``, malformed ``0`` or ``1``), one line per packet,
 so a run of identical packets is a run of identical lines.  A
-:class:`DnsEventRecord` stands for ``count`` identical packets: the events
+:class:`DnsEventRecord` stands for ``count`` identical packets: the writer
+formats a record's line once and writes it ``count`` times, and the events
 reader reads the file in blocks of lines and parses each distinct line of a
-block once, and the writer formats each run's row once.  Ground-truth files
-are CSV with header ``start_minute,end_minute,label``.  Parsing is streaming
-and single pass; malformed lines raise :class:`ParseError` naming the line.
+block once, counting its copies.  Ground-truth files are CSV with header
+``start_minute,end_minute,label``.  Parsing is streaming and single pass;
+malformed lines raise :class:`ParseError` naming the line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .model import FeatureKind, MinuteSeries, SeriesKey
@@ -165,18 +166,14 @@ class _Formatted:
 
 
 def write_events(stream: IO[str], records: Iterable[DnsEventRecord]) -> int:
-    """Write each record as ``count`` identical lines; return the packets written.
-
-    Consecutive equal records form one run, whose row is formatted once.
-    """
+    """Write each record's line, formatted once, ``count`` times; return the
+    packets written."""
     formatted = csv.writer(_Formatted()).writerow
     stream.write(formatted(EVENTS_HEADER))
     packets = 0
-    for rec, run in groupby(records):
-        n = rec.count * len(list(run))
-        row = (rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed))
-        stream.write(formatted(row) * n)
-        packets += n
+    for ts, src, dst, direction, malformed, count in records:
+        stream.write(formatted((ts, src, dst, direction, int(malformed))) * count)
+        packets += count
     return packets
 
 

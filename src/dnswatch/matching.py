@@ -79,8 +79,12 @@ class Tolerance:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("tolerances must be non-negative")
+        # NaN compares false with everything, so it fails here too
+        if not (self.alpha >= 0 and self.beta >= 0):
+            raise ValueError(
+                f"tolerances must be non-negative numbers, got alpha {self.alpha!r}"
+                f" and beta {self.beta!r}"
+            )
 
 
 def prefix_function(pattern: Sequence[float], alpha: float) -> list[int]:

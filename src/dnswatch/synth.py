@@ -1,6 +1,9 @@
 """Deterministic synthetic traffic with diurnal shape and injected attacks.
 
-The generator emits one event record per packet.  Baseline traffic is
+The generator emits one event record per run of identical packets, which
+carries the run's length as its ``count``: per minute, one record for each
+client that sends, and during an attack one for the attacker's transmissions
+and one for its malformed receptions.  Baseline traffic is
 client-to-server transmissions whose hourly rate follows a two-level daily
 profile (a busy window at ``high_rate`` packets per hour, ``low_rate``
 otherwise).  Hourly totals are distributed over minutes by integer quota so a
@@ -16,7 +19,6 @@ byte-identical event streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterator
 
 from .ingest import MAX_SPAN_MINUTES, DnsEventRecord, GroundTruthInterval
@@ -69,7 +71,8 @@ class SynthProfile:
             raise ValueError("noise_fraction must lie in [0, 1)")
         horizon = self.total_minutes
         # An attack minute's extra packets, below (rate / 60 + 1) * 2 * multiplier,
-        # are one count that iter_events repeats: it must fit in 64 bits.
+        # are split over two records, and write_events repeats a record's line
+        # by its count: each count must fit in 64 bits.
         limit = 2.0**62 / (max(self.high_rate, self.low_rate) / 60.0 + 1.0)
         for attack in self.attacks:
             where = f"attack at minute {attack.start_minute}"
@@ -100,13 +103,13 @@ def _minute_quota(rate_per_hour: float, minute_in_hour: int) -> int:
 
 
 def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
-    """Stream records in time order without materializing them."""
+    """Stream records in time order, one per run of identical packets, each
+    with a ``count`` of at least 1."""
     import numpy as np  # here, not at the top: importing the package skips numpy
 
     rng = np.random.default_rng(profile.seed)
-    clients = CLIENT_IPS
-    n_clients = len(clients)
-    share = np.full(n_clients, 1.0 / n_clients)
+    senders = [(ip, SERVER_IPS[idx % len(SERVER_IPS)]) for idx, ip in enumerate(CLIENT_IPS)]
+    share = np.full(len(senders), 1.0 / len(senders))
     lo_hour, hi_hour = HIGH_WINDOW
     nf = profile.noise_fraction
     for minute in range(profile.total_minutes):
@@ -116,15 +119,17 @@ def iter_events(profile: SynthProfile) -> Iterator[DnsEventRecord]:
         noise = rng.uniform(1.0 - nf, 1.0 + nf)
         base_count = round(quota * noise)
         ts = minute * 60
-        per_client = rng.multinomial(base_count, share)
-        for idx in range(n_clients):
-            server = SERVER_IPS[idx % len(SERVER_IPS)]
-            client = clients[idx]
-            yield from repeat(DnsEventRecord(ts, client, server, "tx", False), per_client[idx])
+        for (client, server), n in zip(senders, rng.multinomial(base_count, share).tolist()):
+            if n > 0:
+                yield DnsEventRecord(ts, client, server, "tx", False, n)
         attack = next((a for a in profile.attacks if a.covers(minute)), None)
         if attack is None:
             continue
+        # negative for a multiplier below 1: the attack adds no packets then
         extra = round(quota * noise * (attack.magnitude_multiplier - 1.0))
         tx_part = extra // 2
-        yield from repeat(DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "tx", False), tx_part)
-        yield from repeat(DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "rx", True), extra - tx_part)
+        rx_part = extra - tx_part
+        if tx_part > 0:
+            yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "tx", False, tx_part)
+        if rx_part > 0:
+            yield DnsEventRecord(ts, ATTACKER_IP, VICTIM_IP, "rx", True, rx_part)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import pytest
 from dnswatch import cli, evalharness
 from dnswatch.cli import _event_to_json, _load_series_dir, main
 from dnswatch.detector import AnomalyEvent
-from dnswatch.ingest import MAX_SPAN_MINUTES
+from dnswatch.ingest import MAX_SPAN_MINUTES, aggregate_all
 from dnswatch.model import FeatureKind, SeriesKey
+from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 BASE_GEN = [
     "gen", "--days", "1", "--seed", "7",
@@ -47,6 +49,24 @@ class TestGen:
         sub.mkdir()
         e2, _ = gen_small(sub, seed=8)
         assert e1.read_bytes() != e2.read_bytes()
+
+    def test_records_count_the_packets_gen_writes(self, tmp_path, capsys):
+        # A multiplier below 1 takes packets away: the attack adds no record.
+        profile = SynthProfile(days=2, high_rate=900.0, low_rate=300.0, seed=7,
+                               attacks=(AttackSpec(100, 30, 0.5), AttackSpec(1500, 20, 3.0)))
+        records = list(iter_events(profile))
+        assert min(rec.count for rec in records) >= 1
+        packets = sum(rec.count for rec in records)
+        assert packets == 26595
+        series = aggregate_all(records)
+        assert sum(series[SeriesKey(FeatureKind.A_TOTAL_PACKETS)].values) == packets
+        events, truth = tmp_path / "events.csv", tmp_path / "truth.csv"
+        assert run_cli(["gen", "--days", "2", "--seed", "7", "--high-rate", "900",
+                        "--low-rate", "300", "--attack", "100:30:0.5", "--attack", "1500:20:3",
+                        "--out-events", events, "--out-truth", truth]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {packets} events to {events},")
+        assert events.read_text().count("\n") == 1 + packets  # the header and a line per packet
+        assert cli.write_events(io.StringIO(), records) == packets
 
     def test_default_attacks_filtered_to_horizon(self, tmp_path):
         events = tmp_path / "e.csv"
@@ -347,6 +367,27 @@ class TestExitCodes:
         args[args.index(flag) + 1] = bad
         assert run_cli([sub, *args]) == 2
         assert f"dnswatch: {bad}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, header", [
+        ("ingest", "ts_epoch_s,src_ip,dst_ip,direction,malformed"),
+        ("detect", "minute,value"),
+        ("eval", "start_minute,end_minute,label"),
+    ])
+    def test_byte_that_is_not_utf_8_names_the_file(self, tmp_path, capsys, sub, header):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        bad = series_dir / "A.csv" if sub == "detect" else tmp_path / "bad.csv"
+        bad.write_bytes(f"{header}\n".encode() + b"60,\xff\n")
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        args = {
+            "ingest": ["--events", bad, "--out-dir", tmp_path / "s"],
+            "detect": ["--series-dir", series_dir, "--report", report],
+            "eval": ["--report", report, "--truth", bad],
+        }[sub]
+        assert run_cli([sub, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dnswatch: {bad}: 'utf-8' codec can't decode byte 0xff"), err
 
     @pytest.mark.parametrize("sub, header, row", [
         ("ingest", "ts_epoch_s,src_ip,dst_ip,direction,malformed", "60,{},b,tx,0"),
@@ -688,7 +729,7 @@ class TestSeriesLoader:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         err = capsys.readouterr().err
-        assert f"{series_dir / 'A.csv'} line 6: bad row {row!r}" in err
+        assert f"{series_dir / 'A.csv'}: line 6: bad row {row!r}" in err
 
     def test_bad_row_deep_in_a_long_file_is_named_by_its_line_number(self, tmp_path, capsys):
         # Rows of several blocks, some lines blank, the bad row far from the first.
@@ -697,7 +738,16 @@ class TestSeriesLoader:
         series_dir = self._write(tmp_path, "minute,value\n" + "\n".join(lines) + "\n")
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
-        assert f"{series_dir / 'A.csv'} line 3335: bad row '3333,x'" in capsys.readouterr().err
+        assert f"{series_dir / 'A.csv'}: line 3335: bad row '3333,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["asm", "ar"])
+    def test_series_too_short_for_a_window_is_named(self, tmp_path, capsys, method):
+        series_dir = self._write(tmp_path, "minute,value\n0,1.0\n")
+        assert run_cli(["detect", "--series-dir", series_dir, "--method", method,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {series_dir / 'A.csv'}: series must have at least 49 minutes, got 1\n"
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("minute,count\n0,1.0\n", "bad series header 'minute,count'"),

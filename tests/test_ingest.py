@@ -257,7 +257,8 @@ class TestWriteEvents:
         writer = csv.writer(want)
         writer.writerow(EVENTS_FIELDS)
         for rec in iter_events(profile):
-            writer.writerow([rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed)])
+            for _ in range(rec.count):
+                writer.writerow([rec.ts, rec.src_ip, rec.dst_ip, rec.direction, int(rec.malformed)])
         assert got.getvalue() == want.getvalue()
         assert written == want.getvalue().count("\n") - 1
 

@@ -8,6 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dnswatch import matching
+from dnswatch.detector import ThresholdSet
 from dnswatch.matching import RankIndex, Tolerance, prefix_function, scan, search, total_error
 
 
@@ -364,6 +365,17 @@ class TestSearch:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             search([1, 2], [], Tolerance(0, 0))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (-1.0, 0.0), (0.0, -1e-300),
+    ])
+    def test_nan_or_negative_tolerance_rejected(self, alpha, beta):
+        # A NaN alpha would find no element close, so search([1.0] * 5, [1.0])
+        # would return [] where alpha 0 finds all five starts.
+        with pytest.raises(ValueError, match="tolerances must be non-negative numbers"):
+            Tolerance(alpha, beta)
+        with pytest.raises(ValueError, match="tolerances must be non-negative numbers"):
+            ThresholdSet(alpha=alpha, beta=beta, error_threshold=1.0)
 
     def test_beta_failing_match_still_consumes_text(self):
         # The window at 0 passes per-element checks but fails the total

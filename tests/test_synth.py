@@ -14,6 +14,13 @@ from dnswatch.synth import (
 )
 
 
+def _packets_per_minute(profile):
+    per_minute = Counter()
+    for rec in iter_events(profile):
+        per_minute[rec.ts // 60] += rec.count
+    return per_minute
+
+
 class TestProfileValidation:
     def test_attack_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -76,7 +83,7 @@ class TestGenerate:
             days=1, high_rate=200_000.0, low_rate=75_000.0, noise_fraction=0.0,
             attacks=(), seed=7,
         )
-        count = sum(1 for _ in iter_events(profile))
+        count = sum(rec.count for rec in iter_events(profile))
         assert count == 10 * 200_000 + 14 * 75_000  # 3,050,000
 
     def test_minute_rates_respect_noise_envelope(self):
@@ -84,7 +91,7 @@ class TestGenerate:
             days=1, high_rate=6000.0, low_rate=1200.0, noise_fraction=0.1,
             attacks=(), seed=11,
         )
-        per_minute = Counter(rec.ts // 60 for rec in iter_events(profile))
+        per_minute = _packets_per_minute(profile)
         lo_hour, hi_hour = HIGH_WINDOW
         for minute, count in per_minute.items():
             hour = (minute % 1440) // 60
@@ -98,7 +105,7 @@ class TestGenerate:
             days=1, high_rate=6000.0, low_rate=1200.0, noise_fraction=0.1,
             attacks=(attack,), seed=13,
         )
-        per_minute = Counter(rec.ts // 60 for rec in iter_events(profile))
+        per_minute = _packets_per_minute(profile)
         base = profile.low_rate / 60.0  # minute 700-719 lies in the low window
         for minute in range(700, 720):
             assert per_minute[minute] >= 8.0 * (1 - 0.1) * base - 2
