@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 from urllib.parse import quote, unquote
 
 from .baseline_ar import detect_series_ar
@@ -38,6 +38,9 @@ from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
 SERIES_HEADER = "minute,value"
+# Characters of series rows read at a time.  A block's temporaries take a few
+# times its size; larger blocks were no faster, and slower on long series.
+_SERIES_BLOCK = 1 << 14
 _DEFAULTS = DetectorConfig()
 T = TypeVar("T")
 
@@ -212,36 +215,90 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
             canonical = _series_filename(key)
             if canonical != f.name:
                 raise ParseError(f"series {key.label()} is stored as {canonical}, not {f.name}")
-            minutes: list[int] = []
-            values: list[float] = []
             # Universal newlines: "\r\n" and "\r" end a line, as "\n" does.
             with open(f) as fh:
                 header = fh.readline().strip()
                 if header != SERIES_HEADER:
                     raise ParseError(f"bad series header {header!r}")
-                for lineno, line in enumerate(fh, start=2):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    m_raw, _, v_raw = line.partition(",")
-                    try:
-                        minutes.append(int(m_raw))
-                        values.append(float(v_raw))
-                    except ValueError:
-                        raise ParseError(f"line {lineno}: bad row {line!r}") from None
-            if not values:
-                raise ParseError("empty series")
-            if minutes != list(range(minutes[0], minutes[0] + len(minutes))):
-                raise ParseError("minutes are not contiguous")
-            span = (minutes[0], minutes[-1])
+                start, values = _read_series_rows(fh)
+            span = (start, start + len(values) - 1)
             first_span = first_span or span
             if span != first_span:
                 raise ParseError(
                     f"minutes {span[0]}-{span[1]} differ from {files[0].name}"
                     f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
                 )
-            series[key] = MinuteSeries(minutes[0], tuple(values))
+            series[key] = MinuteSeries(start, tuple(values))
     return series
+
+
+def _read_series_rows(fh: IO[str]) -> tuple[int, list[float]]:
+    """The first minute and the values of the rows after a series header.
+
+    The rows are read in blocks of about ``_SERIES_BLOCK`` characters.  A block
+    whose lines are all exactly ``<minute>,<value>``, as ``ingest`` writes
+    them, with the minutes going on from the rows before it, is converted at
+    once.  Any other block is read line by line, which skips blank lines,
+    ignores whitespace around a field and names a row that does not parse by
+    its line number.
+    """
+    start: Optional[int] = None
+    values: list[float] = []
+    contiguous = True
+    lineno = 2  # of the block's first line
+    for block in iter(lambda: fh.readlines(_SERIES_BLOCK), []):
+        exact = _exact_rows(block, None if start is None else start + len(values))
+        if exact is not None:
+            first, block_values = exact
+            if start is None:
+                start = first
+            values += block_values
+        else:
+            for i, line in enumerate(block, start=lineno):
+                line = line.strip()
+                if not line:
+                    continue
+                m_raw, _, v_raw = line.partition(",")
+                try:
+                    minute = int(m_raw)
+                    value = float(v_raw)
+                except ValueError:
+                    raise ParseError(f"line {i}: bad row {line!r}") from None
+                if start is None:
+                    start = minute
+                elif minute != start + len(values):
+                    contiguous = False
+                values.append(value)
+        lineno += len(block)
+    if start is None:
+        raise ParseError("empty series")
+    if not contiguous:
+        raise ParseError("minutes are not contiguous")
+    return start, values
+
+
+def _exact_rows(block: list[str], first: Optional[int]) -> Optional[tuple[int, list[float]]]:
+    """The first minute and the values of a block of series lines, when each
+    line is exactly ``<minute>,<value>`` and a line end, as ``ingest`` writes
+    it, and the minutes count up from ``first`` (from the first line's own
+    minute when ``first`` is None); None for any other block."""
+    text = "".join(block)
+    fields = text.replace(",", "\n").split()
+    n = len(block)
+    if len(fields) != 2 * n:
+        return None
+    values = fields[1::2]
+    # The lines rebuilt from the values and the minutes they must hold read
+    # back as the block only if each holds one comma, its minute written as
+    # ingest writes it, and no whitespace but its line end.
+    try:
+        first = int(fields[0]) if first is None else first
+        fields[::2] = range(first, first + n)
+        if "%d,%s\n" * n % tuple(fields) != text:
+            return None
+        return first, list(map(float, values))
+    except ValueError:  # the line-by-line read names the row
+        return None
 
 
 def _event_to_json(ev: AnomalyEvent) -> dict:
@@ -371,7 +428,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series = aggregate_all(parse_events(fh))
     with open(args.truth, newline="") as fh, _naming(args.truth):
         truth = parse_ground_truth(fh)
-    rows = sweep(series, truth, cfg, lookbacks, thresholds, methods)
+    # the series that a detector rejects are those of the events file
+    with _naming(args.events):
+        rows = sweep(series, truth, cfg, lookbacks, thresholds, methods)
     with open(args.out, "w", newline="") as fh:
         fh.write(sweep_rows_to_csv(rows))
     print(f"wrote {len(rows)} sweep rows to {args.out}")

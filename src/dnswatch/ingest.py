@@ -97,6 +97,8 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
                 raise ParseError(f"line {lineno(row)}: infinite timestamp {ts_raw!r}") from None
             if ts < 0:
                 raise ParseError(f"line {lineno(row)}: negative timestamp {ts_raw!r}")
+            if ts >= 2**53:  # where a float stops holding every integer
+                raise ParseError(f"line {lineno(row)}: timestamp {ts_raw!r} is not below 2**53")
             if direction not in _DIRECTIONS:
                 raise ParseError(
                     f"line {lineno(row)}: field 'direction' must be tx or rx, got {direction!r}"

@@ -331,12 +331,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("rows, message", [
         (["60,a,b,tx,0", "inf,a,b,tx,0"], "line 3: infinite timestamp 'inf'"),
+        # a float rounds these, 18014398509482039 to the minute after its own
+        (["60,a,b,tx,0", "18014398509482039,a,b,tx,0"],
+         "line 3: timestamp '18014398509482039' is not below 2**53"),
+        (["60,a,b,tx,0", "1e300,a,b,tx,0"], "line 3: timestamp '1e300' is not below 2**53"),
         (["60,a,b,tx,0", f"{60 * (1 + MAX_SPAN_MINUTES)},a,b,tx,0"],
          f"events span minutes 1 to {1 + MAX_SPAN_MINUTES}"),
         (["60,,10.0.1.53,tx,0"], "line 2: field 'src_ip' is empty on a tx row"),
         (["60,a,b,tx,0"] * 3 + ["60,10.0.0.66,,rx,1"],
          "line 5: field 'dst_ip' is empty on a malformed rx row"),
-    ], ids=["inf-timestamp", "span-over-bound", "empty-src-ip", "empty-dst-ip"])
+    ], ids=["inf-timestamp", "timestamp-past-2**53", "1e300-timestamp", "span-over-bound",
+            "empty-src-ip", "empty-dst-ip"])
     def test_bad_events_exit_2(self, tmp_path, capsys, rows, message):
         events = tmp_path / "events.csv"
         events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n" + "\n".join(rows) + "\n")
@@ -367,6 +372,17 @@ class TestExitCodes:
         args[args.index(flag) + 1] = bad
         assert run_cli([sub, *args]) == 2
         assert f"dnswatch: {bad}: {message}\n" in capsys.readouterr().err
+
+    def test_sweep_names_the_events_file_of_a_series_too_short_to_detect(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n60,a,b,tx,0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--events", events, "--truth", truth, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {events}: series must have at least 49 minutes, got 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub, header", [
         ("ingest", "ts_epoch_s,src_ip,dst_ip,direction,malformed"),
@@ -691,10 +707,13 @@ class TestEvalTimeline:
         assert message in capsys.readouterr().err
 
 
+_CANONICAL = "minute,value\n7,1.0\n8,2.0\n9,10.0\n"
+
+
 class TestSeriesLoader:
     def _write(self, tmp_path, text, name="A.csv"):
         series_dir = tmp_path / "series"
-        series_dir.mkdir(exist_ok=True)
+        series_dir.mkdir(parents=True, exist_ok=True)
         (series_dir / name).write_bytes(text.encode())
         return series_dir
 
@@ -739,6 +758,71 @@ class TestSeriesLoader:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         assert f"{series_dir / 'A.csv'}: line 3335: bad row '3333,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_CANONICAL.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(_CANONICAL.replace("\n", "\r"), id="cr"),
+        pytest.param(_CANONICAL[:-1], id="no-final-newline"),
+        pytest.param("minute,value\n\n7,1.0\n \n8,2.0\n\t\n9,10.0\n\n", id="blank-lines"),
+        pytest.param("minute,value\n 7 ,1.0\n8,\t2.0\n\t9\t, 10.0 \n", id="spaces-and-tabs"),
+        pytest.param("minute,value\n+7,1.0\n8,2.0\n9,10.0\n", id="plus-minute"),
+        pytest.param("minute,value\n7,1.0\n08,2.0\n9,10.0\n", id="zero-padded-minute"),
+        pytest.param("minute,value\n7,1.0\n8,2.0\n9,1e1\n", id="exponent-value"),
+    ])
+    def test_rows_not_as_ingest_writes_them_load_as_their_canonical_rewrite(self, tmp_path, text):
+        canonical = _load_series_dir(str(self._write(tmp_path / "canonical", _CANONICAL)))
+        assert _load_series_dir(str(self._write(tmp_path, text))) == canonical
+
+    def test_row_without_a_comma_before_a_row_with_two_is_named(self, tmp_path, capsys):
+        # Together the two lines hold two commas and four fields, with every
+        # other field a minute in place: only a look at each line tells them
+        # from rows as ingest writes them.
+        series_dir = self._write(tmp_path, "minute,value\n0,1.0\n1,2.0\n2\n3,3,4.0\n")
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        assert f"{series_dir / 'A.csv'}: line 4: bad row '2'" in capsys.readouterr().err
+
+    @staticmethod
+    def _rows(minutes):
+        # Six-digit minutes keep every row one width, so that a gap moves no
+        # row across a block boundary.
+        return "".join(f"{m},{m % 7}.5\n" for m in minutes)
+
+    def _first_block(self, tmp_path, minutes):
+        """Write rows of ``minutes``; return their directory and the number of
+        lines in the first block that the reader takes."""
+        series_dir = self._write(tmp_path, "minute,value\n" + self._rows(minutes))
+        with open(series_dir / "A.csv") as fh:
+            fh.readline()
+            return series_dir, len(fh.readlines(cli._SERIES_BLOCK))
+
+    @pytest.mark.parametrize("gap", [
+        pytest.param(False, id="contiguous"),
+        # alone, the gap would give "minutes are not contiguous" once every row parsed
+        pytest.param(True, id="gap-in-the-first-block"),
+    ])
+    def test_bad_row_in_the_second_block_is_named_by_its_line_number(self, tmp_path, capsys, gap):
+        n = 5 * cli._SERIES_BLOCK // 12  # rows of 12 characters: several blocks
+        series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
+        minutes = [*range(100_000, 100_010), *range(100_010 + gap, 100_000 + n + gap)]
+        rows = self._rows(minutes).splitlines(keepends=True)
+        bad = first + 10
+        rows[bad] = f"{minutes[bad]},x\n"
+        self._write(tmp_path, "minute,value\n" + "".join(rows))
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert f"{series_dir / 'A.csv'}: line {bad + 2}: bad row '{minutes[bad]},x'" in err
+
+    def test_gap_on_a_block_boundary_is_not_contiguous(self, tmp_path, capsys):
+        n = 3 * cli._SERIES_BLOCK // 12
+        series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
+        assert first < n
+        minutes = [*range(100_000, 100_000 + first), *range(100_001 + first, 100_001 + n)]
+        self._write(tmp_path, "minute,value\n" + self._rows(minutes))
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        assert f"{series_dir / 'A.csv'}: minutes are not contiguous" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["asm", "ar"])
     def test_series_too_short_for_a_window_is_named(self, tmp_path, capsys, method):
