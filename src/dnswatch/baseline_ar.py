@@ -29,9 +29,9 @@ floats, about 240 KB, plus temporaries of that size.  A window whose
 history has fewer than 4 values, or no nonzero value, is a lag-0 model, its
 mean, and is never fitted: for an all-zero history the fit's answer is
 fixed in advance, a forecast of 0.  All windows of a series are then
-forecast together, each in ``forecast_ar``'s order of operations, which
-holds about ``2 * (L + h)`` floats per window; a lag-0 model's forecast is
-its mean, held flat.
+forecast together, one multiply and one cumulative sum per step adding the
+terms in ``forecast_ar``'s order, in about ``4 * L + h`` floats per window;
+a lag-0 model's forecast is its mean, held flat.
 
 Detection reuses the exact thresholds and decision rule of the matching
 detector, so the two methods differ only in how the predicted window is
@@ -206,33 +206,29 @@ def _forecast_all(
 ) -> np.ndarray:
     """``forecast_ar`` of every window ``i`` of ``y`` ending at ``t[i]``, at once.
 
-    Each forecast adds ``coef[0]`` and then the lag terms ``1..lags[i]`` in
-    forecast_ar's order.  With the windows sorted by lag, descending, the
-    ones whose lag reaches ``i`` form a prefix, so lag term ``i`` is added
-    to that prefix only and no term past a window's lag is ever formed.
-    Returns one row of ``h`` values per window.
+    Each step forms the lag terms ``coef[i] * y(s - i)`` of every window in
+    one multiply and sums them down the lags in one cumulative sum, which adds
+    ``coef[0]`` and then terms ``1, 2, ...`` in forecast_ar's order; a window
+    reads its sum at its own lag.  Returns one row of ``h`` values per window.
     """
     import numpy as np
 
-    order = np.argsort(-lags, kind="stable")
-    lags = lags[order]
-    top = int(lags[0])
-    # reach[i]: how many windows, in this order, have a lag of at least i
-    reach = np.searchsorted(-lags, -np.arange(top + 1), side="right").tolist()
-    coef = coef[order, : top + 1].T.copy()
-    # row top + j holds step j; the rows above it hold the history, where
-    # rows before a window's own lag are never read
+    top = int(lags.max())
+    coef = coef[:, : top + 1].T.copy()
+    # terms past a window's lag are never formed: an inf forecast adds no 0 * inf
+    within = np.arange(1, top + 1)[:, None] <= lags
+    terms = np.zeros((top + 1, lags.size))
+    terms[0] = coef[0]
+    sums = np.empty_like(terms)
+    # row top + j holds step j, the rows above it the history, clipped at minute 0
     buf = np.empty((top + h, lags.size))
-    buf[:top] = y[np.maximum(t[order] - top + np.arange(top)[:, None], 0)]
+    buf[:top] = y[np.maximum(t - top + np.arange(top)[:, None], 0)]
     for j in range(h):
-        step = buf[top + j]
-        step[:] = coef[0]
-        for i in range(1, top + 1):
-            n = reach[i]
-            step[:n] += coef[i, :n] * buf[top + j - i, :n]
-    out = np.empty((lags.size, h))
-    out[order] = buf[top:].T
-    return out
+        # row i - 1 of the reversed rows is y(s - i)
+        np.multiply(coef[1:], buf[j : top + j][::-1], out=terms[1:], where=within)
+        terms.cumsum(axis=0, out=sums)
+        buf[top + j] = sums[lags, np.arange(lags.size)]
+    return buf[top:].T
 
 
 def _predict_ar(

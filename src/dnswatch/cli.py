@@ -100,15 +100,18 @@ def _same_file(a: str | Path, b: str | Path) -> bool:
 def _check_outputs(
     args: argparse.Namespace, outputs: Sequence[str], inputs: Sequence[str] = ()
 ) -> None:
-    """Reject an output flag whose directory does not exist, or whose file is
-    that of an input flag or of another output flag, before any input is read
-    or any work is done.  Nothing is opened here: an output path that names an
-    input must not be truncated before the input is read."""
+    """Reject an output flag that names a directory, whose directory does not
+    exist, or whose file is that of an input flag or of another output flag,
+    before any input is read or any work is done.  Nothing is opened here: an
+    output path that names an input must not be truncated before the input is
+    read."""
     seen = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in inputs]
     for flag in outputs:
         path = getattr(args, flag[2:].replace("-", "_"))
         if path is None:
             continue
+        if Path(path).is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: {Path(path).parent} is not a directory")
         for other, other_path in seen:
@@ -178,6 +181,15 @@ def _series_filename(key: SeriesKey) -> str:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
+    # checked before the events are read: no series file can be written over
+    # a directory of its name, and detect would read any *.csv as a series
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"--out-dir {out_dir} is not a directory")
+    dirs = sorted(f.name for f in out_dir.glob("*.csv") if f.is_dir())
+    if dirs:
+        raise ValueError(
+            f"--out-dir {out_dir} holds directories named as series files: {', '.join(dirs)}"
+        )
     with open(args.events, newline="") as fh, _naming(args.events):
         series = aggregate_all(parse_events(fh))
     # detect reads every CSV in the directory, so one left by an earlier

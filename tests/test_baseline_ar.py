@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,108 @@ class TestBatchedFit:
         stacks = [call.args[0].shape[0] for call in spy.call_args_list]
         assert max(stacks) == baseline_ar._CHUNK and stacks.count(1) >= baseline_ar._CHUNK
         assert _hex(got) == _hex(_window_local_predictions(values, cfg, windows))
+
+
+def _forecast_each(y, t, lags, coef, h):
+    """forecast_ar of each window of a stack, from its history ``y[:t]``."""
+    return [
+        forecast_ar(ArModel(lag, tuple(c[: lag + 1])), y[:end], h)
+        for end, lag, c in zip(t.tolist(), lags.tolist(), coef.tolist())
+    ]
+
+
+def _stack(y, t, lags, coef):
+    """Arrays of a hand-built stack; a coefficient row is zero past its lag."""
+    lags = np.array(lags)
+    coef = np.array(coef, dtype=float)
+    coef[np.arange(coef.shape[1]) > lags[:, None]] = 0.0
+    return np.array(y, dtype=float), np.array(t), lags, coef
+
+
+class TestForecastAll:
+    """The forecast pass over a stack of windows, against forecast_ar of each."""
+
+    def _check(self, y, t, lags, coef, h):
+        y, t, lags, coef = _stack(y, t, lags, coef)
+        got = baseline_ar._forecast_all(y, t, lags, coef, h)
+        assert got.shape == (lags.size, h)
+        assert _hex(got.tolist()) == _hex(_forecast_each(y.tolist(), t, lags, coef, h))
+
+    def test_every_window_at_lag_0(self):
+        coef = [[3.5, 9.0], [-0.0, 1.0], [0.0, -2.0]]
+        self._check(np.arange(10.0), [4, 10, 0], [0, 0, 0], coef, 5)
+
+    def test_lags_0_and_top_mixed(self):
+        rng = np.random.default_rng(1)
+        coef = rng.normal(0.0, 0.4, (6, 4))
+        self._check(rng.integers(0, 50, 30), [9, 30, 17, 4, 12, 25], [0, 3, 3, 0, 3, 0], coef, 6)
+
+    def test_horizon_past_the_top_lag(self):
+        rng = np.random.default_rng(2)
+        coef = rng.normal(0.0, 0.3, (5, 5))
+        self._check(rng.integers(0, 50, 40), [10, 40, 22, 7, 31], [4, 1, 2, 4, 3], coef, 3 * 4 + 5)
+
+    def test_history_shorter_than_the_top_lag_clips_at_the_start(self):
+        # windows ending before minute top read history rows from before
+        # minute 0, clipped to it, which only lags past their own reach
+        rng = np.random.default_rng(3)
+        coef = rng.normal(0.0, 0.3, (4, 7))
+        self._check(rng.integers(1, 50, 20), [20, 2, 3, 0], [6, 1, 2, 0], coef, 8)
+
+    def test_negative_zero_keeps_its_sign(self):
+        # -0.0 + -1.0 * 0.0 stays -0.0, and -2.0 * -0.0 fed back is +0.0
+        y = [0.0, -0.0, 0.0, 0.0]
+        coef = [[-0.0, -1.0, -2.0], [-0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.0, 3.0, 0.0]]
+        self._check(y, [4, 4, 3, 2], [2, 0, 1, 1], coef, 5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 8), st.integers(1, 30), st.data())
+    def test_random_stacks_bit_for_bit(self, top, count, h, data):
+        values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+        n = data.draw(st.integers(top, 60))
+        y = data.draw(st.lists(values, min_size=n, max_size=n))
+        lags = data.draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+        t = [data.draw(st.integers(lag, n)) for lag in lags]
+        coef = data.draw(
+            st.lists(
+                st.lists(st.floats(-2.0, 2.0) | st.just(-0.0), min_size=top + 1, max_size=top + 1),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        self._check(y, t, lags, coef, h)
+
+    def test_forecast_that_overflows_warns_as_one_forecast_does(self):
+        # Window 0 overflows in its product and window 1 in its sum; both
+        # then hold inf.  Their terms past lag 1 would be 0 * inf, an invalid
+        # value no single forecast forms.  Window 2 stays finite.
+        y, t, lags, coef = _stack(
+            [1.0, 1.5e308, 1e200],
+            [3, 2, 3],
+            [1, 1, 3],
+            [[0.0, 1e200, 0, 0], [1e308, 1.0, 0, 0], [1.0, 0.5, 1e-300, 0.25]],
+        )
+        h = 6
+
+        def caught(forecast):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                result = forecast()
+            return result, seen
+
+        # np.float64 coefficients make each forecast's overflow warn
+        scalar = np.array([np.float64(c) for c in coef.ravel()], dtype=object).reshape(coef.shape)
+        each, each_seen = caught(lambda: _forecast_each(y.tolist(), t, lags, scalar, h))
+        got, got_seen = caught(lambda: baseline_ar._forecast_all(y, t, lags, coef, h))
+        assert np.isinf(got[:2]).all() and np.isfinite(got[2]).all()
+        assert _hex(got.tolist()) == _hex(each)
+
+        def kinds(seen):
+            return {str(w.message).split(" encountered")[0] for w in seen}
+
+        assert kinds(got_seen) == kinds(each_seen) == {"overflow"}
+        # from the package, where tier-1 turns such a warning into a failure
+        assert {w.filename for w in got_seen} == {baseline_ar.__file__}
 
 
 class TestSilentHistories:

@@ -25,6 +25,11 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
 def gen_small(tmp_path, seed=7):
     events = tmp_path / "events.csv"
     truth = tmp_path / "truth.csv"
@@ -558,6 +563,71 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{flag} {missing}: {missing.parent} is not a directory" in err
         assert set(tmp_path.rglob("*")) == inputs | {out}  # nothing written
+
+    @pytest.mark.parametrize(
+        "sub, flag",
+        [("gen", "--out-events"), ("gen", "--out-truth"), ("detect", "--report"),
+         ("detect", "--emit-windows"), ("sweep", "--out")],
+    )
+    def test_output_that_is_a_directory_exits_2_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, sub, flag
+    ):
+        events, truth = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        taken = out / "taken.csv"
+        taken.mkdir()
+        outputs = {
+            "gen": {"--out-events": out / "e.csv", "--out-truth": out / "t.csv"},
+            "detect": {"--report": out / "r.json", "--emit-windows": out / "w.csv"},
+            "sweep": {"--out": out / "s.csv"},
+        }[sub]
+        outputs[flag] = taken
+        args = {
+            "gen": BASE_GEN[1:],
+            "detect": ["--series-dir", series_dir, "--method", "ar"],
+            "sweep": ["--events", events, "--truth", truth, "--methods", "ar",
+                      "--lookbacks-days", "0.04"],
+        }[sub]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("input read before the outputs were checked")
+
+        for name in ("iter_events", "parse_events", "_load_series_dir"):
+            monkeypatch.setattr(cli, name, no_work)
+        before = _tree(tmp_path)
+        assert run_cli([sub, *args, *(a for pair in outputs.items() for a in pair)]) == 2
+        assert capsys.readouterr().err == f"dnswatch: {flag} {taken} is a directory\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("kind", ["series file", "out-dir"])
+    def test_ingest_over_a_directory_exits_2_before_the_events_are_read(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        events, _ = gen_small(tmp_path)
+        series_dir = tmp_path / "series"
+        assert run_cli(["ingest", "--events", events, "--out-dir", series_dir]) == 0
+        if kind == "series file":
+            # a name this capture writes, sorted after others it writes
+            taken = series_dir / "C_10.0.0.11.csv"
+            taken.unlink()
+            taken.mkdir()
+            out_dir = series_dir
+            message = f"--out-dir {out_dir} holds directories named as series files: {taken.name}"
+        else:
+            out_dir = series_dir / "A.csv"
+            message = f"--out-dir {out_dir} is not a directory"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("events read before the series paths were checked")
+
+        monkeypatch.setattr(cli, "parse_events", no_work)
+        before = _tree(tmp_path)
+        assert run_cli(["ingest", "--events", events, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == f"dnswatch: {message}\n"
+        assert _tree(tmp_path) == before
 
     def test_missing_file_exits_2(self, tmp_path):
         out = subprocess.run(

@@ -38,12 +38,17 @@ class TestSeriesKey:
 
 class TestMinuteSeries:
     def test_rejects_negative_counts(self):
-        for bad in (-2.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (-2.0, -5e-324, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-negative and below 2"):
                 _series([1.0, bad])
+
+    def test_accepts_negative_zero_as_it_is(self):
+        (zero,) = _series([-0.0]).values
+        assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
 
     def test_counts_must_stay_below_2_53(self):
         assert _series([2.0**53 - 1]).values == (2.0**53 - 1,)
+        assert _series([0, 2**53 - 1]).values == (0.0, 2.0**53 - 1)
         for bad in (2.0**53, 1e160):
             with pytest.raises(ValueError, match="below 2"):
                 _series([1.0, bad])
