@@ -7,6 +7,9 @@ and truth file, ``ingest`` turns events into per-series minute CSVs,
 grid, and ``expect`` prints the cold-start occurrence expectation.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
+
+This module owns the arguments and paths only: it checks them, opens each
+file and names it in its reader's errors.  ``ingest`` owns the file formats.
 """
 
 from __future__ import annotations
@@ -14,33 +17,34 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
-from urllib.parse import quote, unquote
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .baseline_ar import detect_series_ar
 from .coldstart import MODES, ColdStartParams, expected_matches
-from .detector import AnomalyEvent, DetectorConfig, WindowFlag, detect_series, score_aggregate
-from .evalharness import METHODS, confusion, metrics, sweep, sweep_rows_to_csv
+from .detector import DetectorConfig, detect_series, score_aggregate
+from .evalharness import METHODS, confusion, eval_text, sweep, sweep_rows_to_csv
 from .ingest import (
     ParseError,
+    aggregate_all,
     parse_events,
     parse_ground_truth,
-    aggregate_all,
+    read_report,
+    read_series,
+    series_filename,
+    series_key,
     write_events,
     write_ground_truth,
+    write_report,
+    write_series,
+    write_windows,
 )
-from .model import FeatureKind, MinuteSeries, SeriesKey
+from .model import MinuteSeries, SeriesKey
 from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
-SERIES_HEADER = "minute,value"
-# Characters of series rows read at a time.  A block's temporaries take a few
-# times its size; larger blocks were no faster, and slower on long series.
-_SERIES_BLOCK = 1 << 14
 _DEFAULTS = DetectorConfig()
 T = TypeVar("T")
 
@@ -122,9 +126,7 @@ def _check_outputs(
 
 @contextlib.contextmanager
 def _naming(path: str | Path) -> Iterator[None]:
-    """Prefix a ValueError raised inside, a ParseError, a byte that is not
-    UTF-8 or a series that a detector rejects, with the path of the file it
-    is about."""
+    """Prefix a ValueError raised inside with the path of the file it is about."""
     try:
         yield
     except ValueError as exc:
@@ -134,49 +136,25 @@ def _naming(path: str | Path) -> Iterator[None]:
 def _parse_attack(text: str) -> AttackSpec:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"attack must be start:duration:multiplier, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"attack must be start:duration:multiplier, got {text!r}")
     try:
         return AttackSpec(int(parts[0]), int(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _profile_from_args(args: argparse.Namespace) -> SynthProfile:
-    if args.attack:
-        attacks = tuple(args.attack)
-    else:
-        horizon = args.days * 1440
-        attacks = tuple(
-            a for a in SynthProfile().attacks if a.start_minute + a.duration_minutes <= horizon
-        )
-    return SynthProfile(
-        days=args.days,
-        high_rate=args.high_rate,
-        low_rate=args.low_rate,
-        noise_fraction=args.noise,
-        attacks=attacks,
-        seed=args.seed,
-    )
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     _check_outputs(args, ["--out-events", "--out-truth"])
-    profile = _profile_from_args(args)
+    horizon = args.days * 1440
+    default = [a for a in SynthProfile().attacks if a.start_minute + a.duration_minutes <= horizon]
+    attacks = tuple(args.attack or default)
+    profile = SynthProfile(args.days, args.high_rate, args.low_rate, args.noise, attacks, args.seed)
     with open(args.out_events, "w", newline="") as fh:
         count = write_events(fh, iter_events(profile))
     with open(args.out_truth, "w", newline="") as fh:
         write_ground_truth(fh, truth_intervals(profile))
     print(f"wrote {count} events to {args.out_events}, {len(profile.attacks)} truth intervals")
     return 0
-
-
-def _series_filename(key: SeriesKey) -> str:
-    # The IP is percent-encoded so IPv6 colons survive; IPv4 bytes are unchanged.
-    if key.ip is None:
-        return f"{key.feature.value}.csv"
-    return f"{key.feature.value}_{quote(key.ip, safe='')}.csv"
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -194,7 +172,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         series = aggregate_all(parse_events(fh))
     # detect reads every CSV in the directory, so one left by an earlier
     # capture would be scored as part of this one.
-    names = {_series_filename(key) for key in series}
+    names = {series_filename(key) for key in series}
     stale = sorted(f.name for f in out_dir.glob("*.csv") if f.name not in names)
     if stale:
         raise ParseError(
@@ -203,12 +181,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     for key in sorted(series):
-        s = series[key]
-        path = out_dir / _series_filename(key)
-        with open(path, "w", newline="") as fh:
-            fh.write(f"{SERIES_HEADER}\n")
-            for i, v in enumerate(s.values):
-                fh.write(f"{s.start_minute + i},{v!r}\n")
+        with open(out_dir / series_filename(key), "w", newline="") as fh:
+            write_series(fh, series[key])
     print(f"wrote {len(series)} series to {out_dir}")
     return 0
 
@@ -221,100 +195,18 @@ def _load_series_dir(path: str) -> dict[SeriesKey, MinuteSeries]:
     first_span = None
     for f in files:
         with _naming(f):
-            feature, sep, ip = f.stem.partition("_")
-            key = SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
-            # Two names that decode to one key would otherwise overwrite each other.
-            canonical = _series_filename(key)
-            if canonical != f.name:
-                raise ParseError(f"series {key.label()} is stored as {canonical}, not {f.name}")
-            # Universal newlines: "\r\n" and "\r" end a line, as "\n" does.
+            key = series_key(f.name)
             with open(f) as fh:
-                header = fh.readline().strip()
-                if header != SERIES_HEADER:
-                    raise ParseError(f"bad series header {header!r}")
-                start, values = _read_series_rows(fh)
-            span = (start, start + len(values) - 1)
+                s = read_series(fh)
+            span = (s.start_minute, s.start_minute + len(s) - 1)
             first_span = first_span or span
             if span != first_span:
                 raise ParseError(
                     f"minutes {span[0]}-{span[1]} differ from {files[0].name}"
                     f" minutes {first_span[0]}-{first_span[1]}; all series must share one span"
                 )
-            series[key] = MinuteSeries(start, tuple(values))
+            series[key] = s
     return series
-
-
-def _read_series_rows(fh: IO[str]) -> tuple[int, list[float]]:
-    """The first minute and the values of the rows after a series header.
-
-    The rows are read in blocks of about ``_SERIES_BLOCK`` characters.  A block
-    whose lines are all exactly ``<minute>,<value>``, as ``ingest`` writes
-    them, with the minutes going on from the rows before it, is converted at
-    once.  Any other block is read line by line, which skips blank lines,
-    ignores whitespace around a field and names a row that does not parse by
-    its line number.
-    """
-    start: Optional[int] = None
-    values: list[float] = []
-    contiguous = True
-    lineno = 2  # of the block's first line
-    for block in iter(lambda: fh.readlines(_SERIES_BLOCK), []):
-        exact = _exact_rows(block, None if start is None else start + len(values))
-        if exact is not None:
-            first, block_values = exact
-            if start is None:
-                start = first
-            values += block_values
-        else:
-            for i, line in enumerate(block, start=lineno):
-                line = line.strip()
-                if not line:
-                    continue
-                m_raw, _, v_raw = line.partition(",")
-                try:
-                    minute = int(m_raw)
-                    value = float(v_raw)
-                except ValueError:
-                    raise ParseError(f"line {i}: bad row {line!r}") from None
-                if start is None:
-                    start = minute
-                elif minute != start + len(values):
-                    contiguous = False
-                values.append(value)
-        lineno += len(block)
-    if start is None:
-        raise ParseError("empty series")
-    if not contiguous:
-        raise ParseError("minutes are not contiguous")
-    return start, values
-
-
-def _exact_rows(block: list[str], first: Optional[int]) -> Optional[tuple[int, list[float]]]:
-    """The first minute and the values of a block of series lines, when each
-    line is exactly ``<minute>,<value>`` and a line end, as ``ingest`` writes
-    it, and the minutes count up from ``first`` (from the first line's own
-    minute when ``first`` is None); None for any other block."""
-    text = "".join(block)
-    fields = text.replace(",", "\n").split()
-    n = len(block)
-    if len(fields) != 2 * n:
-        return None
-    values = fields[1::2]
-    # The lines rebuilt from the values and the minutes they must hold read
-    # back as the block only if each holds one comma, its minute written as
-    # ingest writes it, and no whitespace but its line end.
-    try:
-        first = int(fields[0]) if first is None else first
-        fields[::2] = range(first, first + n)
-        if "%d,%s\n" * n % tuple(fields) != text:
-            return None
-        return first, list(map(float, values))
-    except ValueError:  # the line-by-line read names the row
-        return None
-
-
-def _event_to_json(ev: AnomalyEvent) -> dict:
-    return {**dataclasses.asdict(ev), "features": sorted(f.value for f in ev.features)}
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -328,66 +220,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
     flags = {}
     for key in sorted(series):
-        with _naming(Path(args.series_dir) / _series_filename(key)):
+        with _naming(Path(args.series_dir) / series_filename(key)):
             flags[key] = detect(series[key], cfg)
     events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
-        json.dump([_event_to_json(ev) for ev in events], fh, indent=2)
-        fh.write("\n")
+        write_report(fh, events)
     if args.emit_windows:
         with open(args.emit_windows, "w", newline="") as fh:
-            header = ",".join(f.name for f in dataclasses.fields(WindowFlag))
-            fh.write(f"series_key,{header}\n")
-            for key in sorted(flags):
-                for w in flags[key]:
-                    mse_s = "" if w.mse is None else repr(w.mse)
-                    cos_s = "" if w.cosine is None else repr(w.cosine)
-                    fh.write(
-                        f"{key.label()},{w.window_start},{int(w.flagged)},"
-                        f"{mse_s},{cos_s},{int(w.cold_start)}\n"
-                    )
+            write_windows(fh, flags)
     print(f"wrote {len(events)} events to {args.report}")
     return 0
 
 
-def _load_report(path: str) -> list[AnomalyEvent]:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: report must be a JSON list of events")
-    events = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ParseError(f"{path}: report item {i} is not an object: {item!r}")
-        try:
-            fields = {f.name: item[f.name] for f in dataclasses.fields(AnomalyEvent)}
-        except KeyError as exc:
-            raise ParseError(f"{path}: report item {i} lacks key {exc.args[0]!r}") from None
-        for name, kind in (("start_minute", int), ("end_minute", int), ("features", list)):
-            value = fields[name]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ParseError(
-                    f"{path}: report item {i} key {name!r} must be of type"
-                    f" {kind.__name__}, got {value!r}"
-                )
-        if fields["end_minute"] < fields["start_minute"]:
-            raise ParseError(
-                f"{path}: report item {i} end_minute {fields['end_minute']}"
-                f" before start_minute {fields['start_minute']}"
-            )
-        try:
-            fields["features"] = frozenset(map(FeatureKind, fields["features"]))
-        except ValueError as exc:
-            raise ParseError(f"{path}: report item {i} key 'features': {exc}") from None
-        events.append(AnomalyEvent(**fields))
-    return events
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    events = _load_report(args.report)
+    with open(args.report) as fh, _naming(args.report):
+        events = read_report(fh)
     with open(args.truth, newline="") as fh, _naming(args.truth):
         truth = parse_ground_truth(fh)
     bounds = [iv.start_minute for iv in truth] + [ev.start_minute for ev in events]
@@ -397,12 +244,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if start >= end:
         raise ParseError(f"timeline [{start}, {end}) is empty: its start must be before its end")
     counts = confusion(events, truth, (start, end), args.window)
-    payload = {**dataclasses.asdict(counts), **metrics(counts)}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(",".join(payload))
-        print(",".join(repr(v) for v in payload.values()))
+    print(eval_text(counts, args.format), end="")
     return 0
 
 
@@ -461,7 +303,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dnswatch", description=__doc__)
+    # --help shows the docstring but its last paragraph, which is about the code
+    parser = _Parser(prog="dnswatch", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 

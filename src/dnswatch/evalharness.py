@@ -6,12 +6,13 @@ is marked hit).  A detected event touching no truth interval is a false
 positive.  A truth interval hit by nothing is a false negative.  True
 negatives are counted over fixed-width evaluation windows of the timeline
 that contain neither a detection nor a truth interval; they affect no
-reported rate.
+reported rate.  This module also writes the sweep CSV and ``eval``'s lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+import json
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .baseline_ar import detect_series_ar
@@ -30,8 +31,8 @@ class ConfusionCounts:
     tn: int
 
 
-def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
-    return a_start <= b_end and b_start <= a_end
+def _overlaps(ev: AnomalyEvent, iv: GroundTruthInterval) -> bool:
+    return ev.start_minute <= iv.end_minute and iv.start_minute <= ev.end_minute
 
 
 def confusion(
@@ -45,31 +46,26 @@ def confusion(
     if window < 1:
         raise ValueError("window must be at least 1")
     events = list(detected)
-    hit = [False] * len(truth)
-    tp = fp = 0
+    hit: set[int] = set()  # the truth intervals that some event overlaps
+    tp = 0
     for ev in events:
-        matched = False
-        for idx, iv in enumerate(truth):
-            if _overlaps(ev.start_minute, ev.end_minute, iv.start_minute, iv.end_minute):
-                matched = True
-                hit[idx] = True
-        if matched:
-            tp += 1
-        else:
-            fp += 1
-    fn = hit.count(False)
+        touched = {i for i, iv in enumerate(truth) if _overlaps(ev, iv)}
+        hit |= touched
+        tp += bool(touched)
+    # Bucket j holds minutes [start + j*window, start + (j+1)*window).  An interval makes
+    # busy the buckets of its first and last minute in the timeline and those between.
     start, end = timeline
-    tn = 0
-    w = start
-    while w < end:
-        w_end = min(w + window, end) - 1
-        busy = any(
-            _overlaps(w, w_end, ev.start_minute, ev.end_minute) for ev in events
-        ) or any(_overlaps(w, w_end, iv.start_minute, iv.end_minute) for iv in truth)
-        if not busy:
-            tn += 1
-        w += window
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    busy = sorted(
+        ((max(a, start) - start) // window, (min(b, end - 1) - start) // window)
+        for a, b in ((e.start_minute, e.end_minute) for e in [*events, *truth])
+        if a < end and b >= start
+    )
+    tn = max(0, -(-(end - start) // window))
+    reach = 0  # the buckets before it are counted busy already
+    for lo, hi in busy:
+        tn -= max(0, hi + 1 - max(lo, reach))
+        reach = max(reach, hi + 1)
+    return ConfusionCounts(tp=tp, fp=len(events) - tp, fn=len(truth) - len(hit), tn=tn)
 
 
 def metrics(c: ConfusionCounts) -> dict[str, float]:
@@ -77,6 +73,14 @@ def metrics(c: ConfusionCounts) -> dict[str, float]:
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else 1.0
     f1 = 2 * precision * tpr / (precision + tpr) if precision + tpr > 0 else 0.0
     return {"tpr": tpr, "fnr": 1.0 - tpr, "precision": precision, "f1": f1}
+
+
+def eval_text(counts: ConfusionCounts, fmt: str) -> str:
+    """The counts and rates that ``eval`` prints, as JSON or as two CSV lines."""
+    payload = {**asdict(counts), **metrics(counts)}
+    if fmt == "json":
+        return json.dumps(payload) + "\n"
+    return f"{','.join(payload)}\n{','.join(map(repr, payload.values()))}\n"
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,33 @@
-"""Parse event and ground-truth files, aggregate events into minute series.
+"""Every file format of the pipeline, as a reader and a writer that take an
+open stream, and the aggregation of events into minute series:
 
-Event files are CSV with header ``ts_epoch_s,src_ip,dst_ip,direction,malformed``
-(direction ``tx`` or ``rx``, malformed ``0`` or ``1``), one line per packet,
-so a run of identical packets is a run of identical lines.  A
-:class:`DnsEventRecord` stands for ``count`` identical packets: the writer
-formats a record's line once and writes it ``count`` times, and the events
-reader reads the file in blocks of lines and parses each distinct line of a
-block once, counting its copies.  Ground-truth files are CSV with header
-``start_minute,end_minute,label``.  Parsing is streaming and single pass;
-malformed lines raise :class:`ParseError` naming the line.
+* events CSV: :func:`parse_events` and :func:`write_events`;
+* ground-truth CSV: :func:`parse_ground_truth` and :func:`write_ground_truth`;
+* series CSV: :func:`read_series` and :func:`write_series`, in the file that
+  :func:`series_filename` names and :func:`series_key` reads back;
+* report JSON: :func:`read_report` and :func:`write_report`;
+* per-window flags CSV: :func:`write_windows`; nothing reads it back.
+
+Readers raise :class:`ParseError` naming the bad line or item; callers add the path.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+import dataclasses
+import json
+from collections import Counter, defaultdict
 from itertools import chain, islice, repeat
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from pathlib import PurePath
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from urllib.parse import quote, unquote
 
+from .detector import AnomalyEvent, WindowFlag
 from .model import FeatureKind, MinuteSeries, SeriesKey
 
 EVENTS_HEADER = ["ts_epoch_s", "src_ip", "dst_ip", "direction", "malformed"]
 TRUTH_HEADER = ["start_minute", "end_minute", "label"]
+SERIES_HEADER = "minute,value"
 
 _DIRECTIONS = ("tx", "rx")
 # Every series is zero-filled over the span of the whole record set, so one
@@ -32,6 +37,9 @@ MAX_SPAN_MINUTES = 366 * 1440
 # repeats, since gen writes each run in one place, but slow down a file whose
 # lines are all distinct.
 _BLOCK_LINES = 1024
+# Characters of series rows read at a time.  A block's temporaries take a few
+# times its size; larger blocks were no faster, and slower on long series.
+_SERIES_BLOCK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -49,7 +57,7 @@ class DnsEventRecord(NamedTuple):
     count: int = 1
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GroundTruthInterval:
     start_minute: int
     end_minute: int  # inclusive
@@ -168,14 +176,18 @@ class _Formatted:
 
 
 def write_events(stream: IO[str], records: Iterable[DnsEventRecord]) -> int:
-    """Write each record's line, formatted once, ``count`` times; return the
-    packets written."""
+    """Write each record's line, formatted once, ``count`` times, at most
+    ``_BLOCK_LINES`` copies to a write; return the packets written."""
     formatted = csv.writer(_Formatted()).writerow
     stream.write(formatted(EVENTS_HEADER))
     packets = 0
     for ts, src, dst, direction, malformed, count in records:
-        stream.write(formatted((ts, src, dst, direction, int(malformed))) * count)
+        line = formatted((ts, src, dst, direction, int(malformed)))
         packets += count
+        while count > _BLOCK_LINES:
+            stream.write(line * _BLOCK_LINES)
+            count -= _BLOCK_LINES
+        stream.write(line * count)
     return packets
 
 
@@ -210,6 +222,153 @@ def write_ground_truth(stream: IO[str], intervals: Iterable[GroundTruthInterval]
         writer.writerow([iv.start_minute, iv.end_minute, iv.label])
 
 
+def series_filename(key: SeriesKey) -> str:
+    # The IP is percent-encoded so IPv6 colons survive; IPv4 bytes are unchanged.
+    if key.ip is None:
+        return f"{key.feature.value}.csv"
+    return f"{key.feature.value}_{quote(key.ip, safe='')}.csv"
+
+
+def series_key(name: str) -> SeriesKey:
+    """The inverse of :func:`series_filename`.  It rejects a name that is not
+    its key's own, so that two names never decode to one key."""
+    feature, sep, ip = PurePath(name).stem.partition("_")
+    key = SeriesKey.from_label(f"{feature}:{unquote(ip)}" if sep else feature)
+    canonical = series_filename(key)
+    if canonical != name:
+        raise ParseError(f"series {key.label()} is stored as {canonical}, not {name}")
+    return key
+
+
+def write_series(stream: IO[str], series: MinuteSeries) -> None:
+    stream.write(f"{SERIES_HEADER}\n")
+    stream.writelines(f"{m},{v!r}\n" for m, v in enumerate(series.values, series.start_minute))
+
+
+def read_series(stream: IO[str]) -> MinuteSeries:
+    """The series of a header and rows of contiguous minutes, from a stream
+    opened with universal newlines, where CR LF and CR end a line as LF does.
+
+    The rows are read in blocks of about ``_SERIES_BLOCK`` characters.  A block
+    whose lines are all exactly ``<minute>,<value>``, as :func:`write_series`
+    writes them, with the minutes going on from the rows before it, is
+    converted at once.  Any other block is read line by line, which skips
+    blank lines, ignores whitespace around a field and names a row that does
+    not parse by its line number.
+    """
+    header = stream.readline().strip()
+    if header != SERIES_HEADER:
+        raise ParseError(f"bad series header {header!r}")
+    start: Optional[int] = None
+    values: list[float] = []
+    contiguous = True
+    lineno = 2  # of the block's first line
+    for block in iter(lambda: stream.readlines(_SERIES_BLOCK), []):
+        exact = _exact_rows(block, None if start is None else start + len(values))
+        if exact is not None:
+            first, block_values = exact
+            if start is None:
+                start = first
+            values += block_values
+        else:
+            for i, line in enumerate(block, start=lineno):
+                line = line.strip()
+                if not line:
+                    continue
+                m_raw, _, v_raw = line.partition(",")
+                try:
+                    minute = int(m_raw)
+                    value = float(v_raw)
+                except ValueError:
+                    raise ParseError(f"line {i}: bad row {line!r}") from None
+                if start is None:
+                    start = minute
+                elif minute != start + len(values):
+                    contiguous = False
+                values.append(value)
+        lineno += len(block)
+    if start is None:
+        raise ParseError("empty series")
+    if not contiguous:
+        raise ParseError("minutes are not contiguous")
+    return MinuteSeries(start, tuple(values))
+
+
+def _exact_rows(block: list[str], first: Optional[int]) -> Optional[tuple[int, list[float]]]:
+    """The first minute and the values of a block of series lines, when each
+    line is exactly ``<minute>,<value>`` and a line end, as ``ingest`` writes
+    it, and the minutes count up from ``first`` (from the first line's own
+    minute when ``first`` is None); None for any other block."""
+    text = "".join(block)
+    fields = text.replace(",", "\n").split()
+    n = len(block)
+    if len(fields) != 2 * n:
+        return None
+    values = fields[1::2]
+    # The lines rebuilt from the values and the minutes they must hold read
+    # back as the block only if each holds one comma, its minute written as
+    # ingest writes it, and no whitespace but its line end.
+    try:
+        first = int(fields[0]) if first is None else first
+        fields[::2] = range(first, first + n)
+        if "%d,%s\n" * n % tuple(fields) != text:
+            return None
+        return first, list(map(float, values))
+    except ValueError:  # the line-by-line read names the row
+        return None
+
+
+def _event_to_json(ev: AnomalyEvent) -> dict:
+    return {**dataclasses.asdict(ev), "features": sorted(f.value for f in ev.features)}
+
+
+def write_report(stream: IO[str], events: Iterable[AnomalyEvent]) -> None:
+    json.dump([_event_to_json(ev) for ev in events], stream, indent=2)
+    stream.write("\n")
+
+
+def read_report(stream: IO[str]) -> list[AnomalyEvent]:
+    """The events of a report; a ValueError if it is not JSON."""
+    raw = json.load(stream)
+    if not isinstance(raw, list):
+        raise ParseError("report must be a JSON list of events")
+    events = []
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ParseError(f"report item {i} is not an object: {item!r}")
+        try:
+            event = {f.name: item[f.name] for f in dataclasses.fields(AnomalyEvent)}
+        except KeyError as exc:
+            raise ParseError(f"report item {i} lacks key {exc.args[0]!r}") from None
+        for name, kind in (("start_minute", int), ("end_minute", int), ("features", list)):
+            value = event[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError(
+                    f"report item {i} key {name!r} must be of type {kind.__name__}, got {value!r}"
+                )
+        start, end = event["start_minute"], event["end_minute"]
+        if end < start:
+            raise ParseError(f"report item {i} end_minute {end} before start_minute {start}")
+        try:
+            event["features"] = frozenset(map(FeatureKind, event["features"]))
+        except ValueError as exc:
+            raise ParseError(f"report item {i} key 'features': {exc}") from None
+        events.append(AnomalyEvent(**event))
+    return events
+
+
+def write_windows(stream: IO[str], flags: Mapping[SeriesKey, Sequence[WindowFlag]]) -> None:
+    """One row per window of each series, the series in key order."""
+    header = ",".join(f.name for f in dataclasses.fields(WindowFlag))
+    stream.write(f"series_key,{header}\n")
+    for key in sorted(flags):
+        label = key.label()
+        for w in flags[key]:
+            mse = "" if w.mse is None else repr(w.mse)
+            cos = "" if w.cosine is None else repr(w.cosine)
+            stream.write(f"{label},{w.window_start},{int(w.flagged)},{mse},{cos},{int(w.cold_start)}\n")
+
+
 def _zero_filled(counts: dict[int, int], lo: int, hi: int) -> tuple[int, ...]:
     return tuple(counts.get(m, 0) for m in range(lo, hi + 1))
 
@@ -225,20 +384,16 @@ def aggregate_all(records: Iterable[DnsEventRecord]) -> dict[SeriesKey, MinuteSe
     ``MAX_SPAN_MINUTES``.
     """
     total: dict[int, int] = {}
-    malformed_rx: dict[str, dict[int, int]] = {}
-    transmitted: dict[str, dict[int, int]] = {}
+    malformed_rx: defaultdict[str, dict[int, int]] = defaultdict(dict)
+    transmitted: defaultdict[str, dict[int, int]] = defaultdict(dict)
     for ts, src, dst, direction, malformed, count in records:
         minute = ts // 60
         total[minute] = total.get(minute, 0) + count
         if direction == "tx":
-            per = transmitted.get(src)
-            if per is None:
-                per = transmitted[src] = {}
+            per = transmitted[src]
             per[minute] = per.get(minute, 0) + count
         elif malformed and direction == "rx":
-            per = malformed_rx.get(dst)
-            if per is None:
-                per = malformed_rx[dst] = {}
+            per = malformed_rx[dst]
             per[minute] = per.get(minute, 0) + count
     if not total:
         return {}

@@ -18,7 +18,7 @@ byte-identical event streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .ingest import MAX_SPAN_MINUTES, DnsEventRecord, GroundTruthInterval
@@ -40,11 +40,9 @@ class AttackSpec:
         return self.start_minute <= minute < self.start_minute + self.duration_minutes
 
 
-def _default_attacks() -> tuple[AttackSpec, ...]:
-    # Five half-hour bursts at ten times the base rate, spread over a ten-day
-    # horizon and deliberately offset from round half-hours.
-    starts = (3490, 5320, 7400, 10970, 13360)
-    return tuple(AttackSpec(s, 30, 10.0) for s in starts)
+# Five half-hour bursts at ten times the base rate, spread over a ten-day
+# horizon and deliberately offset from round half-hours.
+_DEFAULT_ATTACKS = tuple(AttackSpec(s, 30, 10.0) for s in (3490, 5320, 7400, 10970, 13360))
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class SynthProfile:
     high_rate: float = 20000.0  # packets per hour inside the busy window
     low_rate: float = 7500.0
     noise_fraction: float = 0.05
-    attacks: tuple[AttackSpec, ...] = field(default_factory=_default_attacks)
+    attacks: tuple[AttackSpec, ...] = _DEFAULT_ATTACKS
     seed: int = 1234
 
     def __post_init__(self) -> None:

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from dnswatch import cli, evalharness
-from dnswatch.cli import _event_to_json, _load_series_dir, main
+from dnswatch.cli import _load_series_dir, main
 from dnswatch.detector import AnomalyEvent
-from dnswatch.ingest import MAX_SPAN_MINUTES, aggregate_all
+from dnswatch.ingest import MAX_SPAN_MINUTES, _SERIES_BLOCK, _event_to_json, aggregate_all
 from dnswatch.model import FeatureKind, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
@@ -751,7 +751,9 @@ class TestEvalTimeline:
         (["--timeline-start", "200"], 4),
         # Buckets of 24 over [100, 200): 5, of which [100, 123] is busy.
         (["--timeline-end", "200"], 4),
-    ], ids=["defaults", "window", "both-ends", "start", "end"])
+        # Buckets of 1 over [100, 10**12), of which 100-119 and 300-309 are busy.
+        (["--window", "1", "--timeline-end", "1000000000000"], 10**12 - 100 - 30),
+    ], ids=["defaults", "window", "both-ends", "start", "end", "trillion-minutes"])
     def test_flags_set_the_true_negative_buckets(self, files, capsys, flags, tn):
         assert run_cli(files + flags) == 0
         counts = json.loads(capsys.readouterr().out)
@@ -864,7 +866,7 @@ class TestSeriesLoader:
         series_dir = self._write(tmp_path, "minute,value\n" + self._rows(minutes))
         with open(series_dir / "A.csv") as fh:
             fh.readline()
-            return series_dir, len(fh.readlines(cli._SERIES_BLOCK))
+            return series_dir, len(fh.readlines(_SERIES_BLOCK))
 
     @pytest.mark.parametrize("gap", [
         pytest.param(False, id="contiguous"),
@@ -872,7 +874,7 @@ class TestSeriesLoader:
         pytest.param(True, id="gap-in-the-first-block"),
     ])
     def test_bad_row_in_the_second_block_is_named_by_its_line_number(self, tmp_path, capsys, gap):
-        n = 5 * cli._SERIES_BLOCK // 12  # rows of 12 characters: several blocks
+        n = 5 * _SERIES_BLOCK // 12  # rows of 12 characters: several blocks
         series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
         minutes = [*range(100_000, 100_010), *range(100_010 + gap, 100_000 + n + gap)]
         rows = self._rows(minutes).splitlines(keepends=True)
@@ -885,7 +887,7 @@ class TestSeriesLoader:
         assert f"{series_dir / 'A.csv'}: line {bad + 2}: bad row '{minutes[bad]},x'" in err
 
     def test_gap_on_a_block_boundary_is_not_contiguous(self, tmp_path, capsys):
-        n = 3 * cli._SERIES_BLOCK // 12
+        n = 3 * _SERIES_BLOCK // 12
         series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
         assert first < n
         minutes = [*range(100_000, 100_000 + first), *range(100_001 + first, 100_001 + n)]

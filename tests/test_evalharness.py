@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dnswatch.detector import AGGREGATE_KEY, AnomalyEvent, DetectorConfig
@@ -64,6 +64,56 @@ class TestConfusion:
             if any(e.start_minute <= iv.end_minute and iv.start_minute <= e.end_minute for e in events)
         )
         assert hit + c.fn == len(truth)
+
+
+def _bucket_walk_tn(events, truth, timeline, window):
+    """True negatives by testing every bucket against every interval."""
+    start, end = timeline
+    spans = [(e.start_minute, e.end_minute) for e in events]
+    spans += [(iv.start_minute, iv.end_minute) for iv in truth]
+    tn = 0
+    for w in range(start, end, window):
+        w_end = min(w + window, end) - 1
+        tn += not any(a <= w_end and w <= b for a, b in spans)
+    return tn
+
+
+# Intervals short against the timeline, so that they often nest, touch its
+# ends or share a bucket.
+_spans = st.lists(
+    st.tuples(st.integers(-15, 60), st.integers(0, 30)).map(lambda t: (t[0], t[0] + t[1])),
+    max_size=8,
+)
+
+
+class TestTrueNegatives:
+    @given(
+        events=_spans,
+        truth=_spans,
+        start=st.integers(-5, 10),
+        length=st.integers(-5, 50),
+        window=st.integers(1, 60),
+    )
+    # intervals that end at the timeline's start and start at its end, past a
+    # short last bucket
+    @example(events=[(10, 12)], truth=[(-5, 0)], start=0, length=10, window=4)
+    # an interval nested in an earlier one, then one after it inside the first
+    @example(events=[(0, 100), (20, 30)], truth=[(50, 60)], start=0, length=200, window=10)
+    def test_equal_a_walk_over_every_bucket(self, events, truth, start, length, window):
+        # timelines empty or reversed, intervals before, across and after
+        # them, and windows wider than the whole timeline
+        events = [_event(a, b) for a, b in events]
+        truth = [GroundTruthInterval(a, b) for a, b in truth]
+        timeline = (start, start + length)
+        c = confusion(events, truth, timeline, window)
+        assert c.tn == _bucket_walk_tn(events, truth, timeline, window)
+
+    def test_a_timeline_of_a_trillion_minutes_is_counted_from_its_intervals(self):
+        end = 10**12
+        truth = [GroundTruthInterval(end - 5, end + 100)]
+        c = confusion([_event(10, 20), _event(-5, 3)], truth, (0, end), 1)
+        assert c.tn == end - 11 - 4 - 5
+        assert confusion([], truth, (0, end), 10**6).tn == 10**6 - 1
 
 
 class TestMetrics:

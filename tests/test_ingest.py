@@ -1,12 +1,20 @@
 import csv
 import io
+import itertools
 import random
+import re
 from collections import Counter
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dnswatch.detector import AnomalyEvent, WindowFlag
 from dnswatch.ingest import (
     EVENTS_HEADER as EVENTS_FIELDS,
+    _BLOCK_LINES,
+    _SERIES_BLOCK,
     DnsEventRecord,
     GroundTruthInterval,
     MAX_SPAN_MINUTES,
@@ -14,10 +22,17 @@ from dnswatch.ingest import (
     aggregate_all,
     parse_events,
     parse_ground_truth,
+    read_report,
+    read_series,
+    series_filename,
+    series_key,
     write_events,
     write_ground_truth,
+    write_report,
+    write_series,
+    write_windows,
 )
-from dnswatch.model import FeatureKind, SeriesKey
+from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
@@ -267,6 +282,22 @@ class TestWriteEvents:
         assert write_events(buf, [DnsEventRecord(60, "a", "b", "rx", True, 3)]) == 3
         assert buf.getvalue() == EVENTS_HEADER.replace("\n", "\r\n") + "60,a,b,rx,1\r\n" * 3
 
+    def test_a_large_count_is_written_a_block_of_lines_at_a_time(self):
+        writes = []
+
+        class Recording:
+            write = writes.append
+
+        count = 10**6
+        record = DnsEventRecord(60, "10.0.0.1", "10.0.1.53", "tx", False, count)
+        assert write_events(Recording(), [record]) == count
+        header, *copies = writes
+        line = "60,10.0.0.1,10.0.1.53,tx,0\r\n"
+        assert max(w.count("\n") for w in copies) == _BLOCK_LINES
+        # each write is whole lines of the record, so the lengths tell the text
+        assert all(w == line * (len(w) // len(line)) for w in copies)
+        assert sum(map(len, copies)) == len(line) * count
+
 
 class TestParseGroundTruth:
     def test_header_only(self):
@@ -394,3 +425,187 @@ class TestAggregate:
         records = [_rec(7 + MAX_SPAN_MINUTES), _rec(9), _rec(7)]
         with pytest.raises(ParseError, match=f"minutes 7 to {7 + MAX_SPAN_MINUTES}"):
             aggregate_all(records)
+
+
+# Values that a float's repr or a series row could get wrong: a signed zero,
+# the largest count, decimals that have no exact binary form, subnormals.
+_EDGE_VALUES = [-0.0, 0.0, 2.0**53 - 1, 0.1, 1e-300, 5e-324, 1.5, 7.0]
+_values = st.sampled_from(_EDGE_VALUES) | st.floats(0, 2.0**53, exclude_max=True)
+
+
+def _series_round_trip(series):
+    buf = io.StringIO()
+    write_series(buf, series)
+    return read_series(io.StringIO(buf.getvalue()))
+
+
+class TestSeriesFormat:
+    @given(start=st.integers(-(10**6), 10**12), values=st.lists(_values, min_size=1))
+    def test_write_then_read_returns_the_series(self, start, values):
+        series = MinuteSeries(start, tuple(values))
+        got = _series_round_trip(series)
+        assert got.start_minute == start
+        assert list(map(repr, got.values)) == list(map(repr, series.values))
+
+    def test_a_series_of_many_blocks_round_trips(self):
+        rng = random.Random(5)
+        values = [rng.choice(_EDGE_VALUES + [rng.random() * 1e6]) for _ in range(20_000)]
+        series = MinuteSeries(27_000_000, tuple(values))
+        buf = io.StringIO()
+        write_series(buf, series)
+        assert len(buf.getvalue()) > 10 * _SERIES_BLOCK
+        got = _series_round_trip(series)
+        assert got.start_minute == series.start_minute
+        assert list(map(repr, got.values)) == list(map(repr, series.values))
+
+    def test_rows_are_minute_and_value_repr(self):
+        buf = io.StringIO()
+        write_series(buf, MinuteSeries(7, (1, 0.5, -0.0)))
+        assert buf.getvalue() == "minute,value\n7,1.0\n8,0.5\n9,-0.0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "bad series header ''"),
+        ("minute,value\n", "empty series"),
+        ("minute,value\n7,1.0\n9,2.0\n", "minutes are not contiguous"),
+        ("minute,value\n7,1.0\n8,x\n", "line 3: bad row '8,x'"),
+    ])
+    def test_bad_file_names_no_path(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_series(io.StringIO(text))
+
+
+_ips = st.text(
+    st.sampled_from(":%_.~-/ab09") | st.characters(exclude_categories=("Cs",)), min_size=1
+)
+_keys = st.just(SeriesKey(FeatureKind.A_TOTAL_PACKETS)) | st.builds(
+    SeriesKey, st.sampled_from([FeatureKind.B_MALFORMED_RECEIVED, FeatureKind.C_TRANSMITTED]), _ips
+)
+
+
+class TestSeriesFileNames:
+    @pytest.mark.parametrize("key, name", [
+        (SeriesKey(FeatureKind.A_TOTAL_PACKETS), "A.csv"),
+        (SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.11"), "C_10.0.0.11.csv"),
+        (SeriesKey(FeatureKind.C_TRANSMITTED, "2001:db8::1"), "C_2001%3Adb8%3A%3A1.csv"),
+        (SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "fe80::1%eth0"), "B_fe80%3A%3A1%25eth0.csv"),
+        (SeriesKey(FeatureKind.B_MALFORMED_RECEIVED, "a_b.c."), "B_a_b.c..csv"),
+    ])
+    def test_names(self, key, name):
+        assert series_filename(key) == name
+        assert series_key(name) == key
+
+    @given(_keys)
+    def test_every_key_round_trips_through_its_name(self, key):
+        assert series_key(series_filename(key)) == key
+
+    @given(_keys, st.text(":%._~", max_size=5))
+    def test_a_name_is_read_only_when_it_is_its_keys_own(self, key, safe):
+        # the key's IP encoded with some characters left as they are: a name
+        # that decodes to the key, canonical only when nothing was left out
+        name = series_filename(key)
+        if key.ip is not None:
+            name = f"{key.feature.value}_{quote(key.ip, safe=safe)}.csv"
+        try:
+            got = series_key(name)
+        except ValueError:
+            assert name != series_filename(key)
+        else:
+            assert series_filename(got) == name
+
+    @pytest.mark.parametrize("name, message", [
+        ("C_10.0.0%2E1.csv", "series C:10.0.0.1 is stored as C_10.0.0.1.csv, not C_10.0.0%2E1.csv"),
+        ("C_2001:db8::1.csv",
+         "series C:2001:db8::1 is stored as C_2001%3Adb8%3A%3A1.csv, not C_2001:db8::1.csv"),
+        ("C_2001%3adb8%3a%3a1.csv",
+         "series C:2001:db8::1 is stored as C_2001%3Adb8%3A%3A1.csv, not C_2001%3adb8%3a%3a1.csv"),
+        ("C.csv", "feature C requires an ip"),
+        ("A_1.2.3.4.csv", "feature A takes no ip"),
+        ("X.csv", "unknown feature in series label 'X'"),
+    ])
+    def test_a_name_that_is_not_canonical_is_rejected(self, name, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            series_key(name)
+
+
+_FEATURE_SETS = [
+    frozenset(c)
+    for n in range(len(FeatureKind) + 1)
+    for c in itertools.combinations(FeatureKind, n)
+]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _events(draw):
+    start, end = sorted(draw(st.lists(st.integers(-(2**62), 2**62), min_size=2, max_size=2)))
+    return AnomalyEvent(
+        key=draw(st.text()),
+        start_minute=start,
+        end_minute=end,
+        mse=draw(_finite),
+        cosine=draw(st.none() | _finite),
+        features=draw(st.sampled_from(_FEATURE_SETS)),
+        score=draw(st.integers()),
+    )
+
+
+def _report_round_trip(events):
+    buf = io.StringIO()
+    write_report(buf, events)
+    return read_report(io.StringIO(buf.getvalue()))
+
+
+class TestReportFormat:
+    def test_every_feature_set_round_trips(self):
+        events = [
+            AnomalyEvent("aggregate", 10 * i, 10 * i + 9, 2.5, cosine, features, i)
+            for i, features in enumerate(_FEATURE_SETS)
+            for cosine in (None, 0.25)
+        ]
+        assert len(_FEATURE_SETS) == 8
+        assert _report_round_trip(events) == events
+
+    @given(st.lists(_events()))
+    def test_write_then_read_returns_the_events(self, events):
+        got = _report_round_trip(events)
+        assert got == events
+        assert [(repr(e.mse), repr(e.cosine)) for e in got] == [
+            (repr(e.mse), repr(e.cosine)) for e in events
+        ]
+
+    def test_report_is_an_indented_list_with_features_sorted(self):
+        event = AnomalyEvent("aggregate", 300, 309, 2.5, None,
+                             frozenset({FeatureKind.C_TRANSMITTED, FeatureKind.A_TOTAL_PACKETS}), 5)
+        buf = io.StringIO()
+        write_report(buf, [event])
+        assert buf.getvalue().endswith(']\n')
+        assert '"features": [\n      "A",\n      "C"\n    ]' in buf.getvalue()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "report must be a JSON list of events"),
+        ("[1]", "report item 0 is not an object: 1"),
+        ('[{"key": "a"}]', "report item 0 lacks key 'start_minute'"),
+    ])
+    def test_bad_report_names_the_item_and_no_path(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_report(io.StringIO(text))
+
+
+class TestWindowsFormat:
+    def test_rows_follow_the_keys_in_order_with_absent_errors_empty(self):
+        flags = {
+            SeriesKey(FeatureKind.C_TRANSMITTED, "10.0.0.1"): [
+                WindowFlag(48, True, 2.5, 0.125, False),
+            ],
+            SeriesKey(FeatureKind.A_TOTAL_PACKETS): [
+                WindowFlag(24, False, None, None, True), WindowFlag(48, False, 0.0, 1.0, False),
+            ],
+        }
+        buf = io.StringIO()
+        write_windows(buf, flags)
+        assert buf.getvalue() == (
+            "series_key,window_start,flagged,mse,cosine,cold_start\n"
+            "A,24,0,,,1\n"
+            "A,48,0,0.0,1.0,0\n"
+            "C:10.0.0.1,48,1,2.5,0.125,0\n"
+        )
