@@ -46,6 +46,7 @@ from .synth import AttackSpec, SynthProfile, iter_events, truth_intervals
 
 DEFAULT_LOOKBACK_DAYS = "0.04,0.08,0.25,0.5,0.75,1,2,3,4,5"
 _DEFAULTS = DetectorConfig()
+_PROFILE = SynthProfile()
 T = TypeVar("T")
 
 
@@ -146,7 +147,7 @@ def _parse_attack(text: str) -> AttackSpec:
 def _cmd_gen(args: argparse.Namespace) -> int:
     _check_outputs(args, ["--out-events", "--out-truth"])
     horizon = args.days * 1440
-    default = [a for a in SynthProfile().attacks if a.start_minute + a.duration_minutes <= horizon]
+    default = [a for a in _PROFILE.attacks if a.start_minute + a.duration_minutes <= horizon]
     attacks = tuple(args.attack or default)
     profile = SynthProfile(args.days, args.high_rate, args.low_rate, args.noise, attacks, args.seed)
     with open(args.out_events, "w", newline="") as fh:
@@ -309,11 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("gen", help="generate synthetic events and ground truth", formatter_class=fmt)
-    p.add_argument("--days", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--high-rate", type=float, default=20000.0, help="busy-window packets per hour")
-    p.add_argument("--low-rate", type=float, default=7500.0, help="off-hours packets per hour")
-    p.add_argument("--noise", type=float, default=0.05, help="multiplicative noise fraction")
+    p.add_argument("--days", type=int, default=_PROFILE.days)
+    p.add_argument("--seed", type=int, default=_PROFILE.seed)
+    p.add_argument(
+        "--high-rate", type=float, default=_PROFILE.high_rate, help="busy-window packets per hour"
+    )
+    p.add_argument("--low-rate", type=float, default=_PROFILE.low_rate, help="off-hours packets per hour")
+    p.add_argument(
+        "--noise", type=float, default=_PROFILE.noise_fraction, help="multiplicative noise fraction"
+    )
     p.add_argument(
         "--attack",
         action="append",
@@ -377,6 +382,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"dnswatch: {exc}", file=sys.stderr)
         return 2

@@ -328,8 +328,11 @@ def write_report(stream: IO[str], events: Iterable[AnomalyEvent]) -> None:
 
 
 def read_report(stream: IO[str]) -> list[AnomalyEvent]:
-    """The events of a report; a ValueError if it is not JSON."""
-    raw = json.load(stream)
+    """The events of a report; a ValueError if it is not JSON or nests too deeply."""
+    try:
+        raw = json.load(stream)
+    except RecursionError:
+        raise ParseError("report nests arrays or objects too deeply to decode") from None
     if not isinstance(raw, list):
         raise ParseError("report must be a JSON list of events")
     events = []

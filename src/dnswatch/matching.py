@@ -20,14 +20,14 @@ the prefix table can admit pairs slightly beyond it.  Only beta-soundness and
 spacing are contractual.
 
 Skipping in C.  Most of a long text is crossed at state 0 by elements that
-do not advance it.  A :class:`RankIndex` writes the text once as bytes, one
-per element: the rank of its value among the text's distinct values (its
-levels), or for more than 256 levels a bucket of neighbouring ranks.  The
-scan calls ``x`` close to ``p`` when ``fl(x - p)`` lies in
-``[-alpha, alpha]``, and correctly rounded subtraction is monotone in ``x``,
-so the levels close to ``p`` form one contiguous run of ranks; two
-bisections over the levels find it, and a 256-byte table that marks those
-codes 1 turns the span's bytes into its marks with one ``bytes.translate``.
+do not advance it.  A :class:`RankIndex` of a text of at most 256 distinct
+values (levels) writes it once as bytes, one per element: the rank of its
+value among the levels.  The scan calls ``x`` close to ``p`` when
+``fl(x - p)`` lies in ``[-alpha, alpha]``, and correctly rounded subtraction
+is monotone in ``x``, so the levels close to ``p`` form one contiguous run of
+ranks; two bisections over the levels find it, and a 256-byte table that
+marks those ranks 1 turns the span's bytes into its marks, which are exactly
+its close elements, with one ``bytes.translate``.
 
 * **Candidates.**  The marks of ``P[0]`` and those of ``P[1]`` shifted back
   by one, with a 1 for the span's last element (every element, for a
@@ -39,27 +39,23 @@ codes 1 turns the span's bytes into its marks with one ``bytes.translate``.
   ``P[0]``, just as a scan that never left state 0 would.  From each
   candidate the KMP steps, prefix-table fallbacks and beta check run as
   they always did until the state is back at 0.
-* **Skip to state 2.**  With at most 256 levels the marks are exactly the
-  close elements, so for ``m >= 3`` a candidate with two elements after it
-  in the span leaves the scan at state 2 after its successor, and stepping
-  starts at the element after that with ``j = 2``.
+* **Skip to state 2.**  For ``m >= 3`` a candidate with two elements after
+  it in the span leaves the scan at state 2 after its successor, and
+  stepping starts at the element after that with ``j = 2``.
 * **Exit at ``P[2]``.**  When also ``pi[1] == 0``, an element not marked
   close to ``P[2]`` (a third translate) takes state 2 back to state 0 and
   is compared with ``P[0]`` afresh, which is a state-0 search from it: the
   scan searches again from there and steps nothing.
 
-With buckets the marks cover a superset of the close elements, which only
-costs steps: a stepped element that does not advance the state leaves it at
-0.  So a bucketed index finds its candidates the same way but steps each
-from state 0, neither skipping to state 2 nor exiting at ``P[2]``.  The
-index costs one byte per element plus the sorted levels, and ``O(n log L)``
-to build for ``n`` elements with ``L`` levels, so only a caller that scans
-one text many times keeps one and pays that; :func:`scan` skips only
-through a :class:`RankIndex` it is given, and :func:`search` steps its
-text.  A text holding NaN or an infinity gets no bytes and is stepped: NaN
-has no order to rank by, and ``inf - inf`` is NaN, which the scan never
-finds close although the infinite level lies inside its own run of ranks,
-and which at a state above 0 neither advances nor falls back.
+The index costs one byte per element plus the sorted levels, and
+``O(n log L)`` to build for ``n`` elements with ``L`` levels, so only a
+caller that scans one text many times keeps one and pays that; :func:`scan`
+skips only through a :class:`RankIndex` it is given, and :func:`search`
+steps its text.  A text of more than 256 levels gets no bytes and is
+stepped, and so is one holding NaN or an infinity: NaN has no order to rank
+by, and ``inf - inf`` is NaN, which the scan never finds close although the
+infinite level lies inside its own run of ranks, and which at a state above
+0 neither advances nor falls back.
 """
 
 from __future__ import annotations
@@ -120,14 +116,13 @@ def total_error(pattern: Sequence[float], text: Sequence[float], offs: int) -> f
 class RankIndex:
     """A sequence of values, also written as one byte per element.
 
-    ``levels`` are the distinct values in ascending order.  The byte of an
-    element is the rank ``r`` of its value among the ``L`` levels, scaled to
-    ``r * 256 // L``: the rank itself when there are at most 256 levels, a
-    bucket of neighbouring ranks beyond.  ``codes`` is ``None`` when a value
-    is NaN or infinite: NaN has no order to rank by, and ``inf - inf`` is
-    NaN, which neither advances the scan's state nor lets it fall back, so no
-    mark can stand for it.  Both are built on first use, so a sequence that
-    is only ever scanned over short spans never pays for them.
+    ``levels`` are the distinct values in ascending order, and the byte of an
+    element is the rank of its value among them.  ``codes`` is ``None`` when
+    there are more than 256 levels, or when a value is NaN or infinite: NaN
+    has no order to rank by, and ``inf - inf`` is NaN, which neither advances
+    the scan's state nor lets it fall back, so no mark can stand for it.
+    Both are built on first use, so a sequence that is only ever scanned over
+    short spans never pays for them.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
@@ -139,21 +134,15 @@ class RankIndex:
 
     @cached_property
     def codes(self) -> Optional[bytes]:
-        if not all(map(isfinite, self.levels)):
+        if len(self.levels) > 256 or not all(map(isfinite, self.levels)):
             return None  # NaN has no order, and inf - inf is NaN
-        n = len(self.levels)
-        code = dict(zip(self.levels, (r * 256 // n for r in range(n))))
-        return bytes(map(code.__getitem__, self.values))
+        return bytes(map({v: r for r, v in enumerate(self.levels)}.__getitem__, self.values))
 
     def code_range(self, p: float, alpha: float) -> tuple[int, int]:
-        """``range(first, end)`` of the codes of the elements that the scan
-        finds alpha-close to ``p``; with at most 256 levels, of no others."""
+        """``range(first, end)`` of the ranks of the levels that the scan
+        finds alpha-close to ``p``."""
         first = bisect_left(self.levels, True, key=lambda v: v - p >= -alpha)
-        end = bisect_left(self.levels, True, key=lambda v: v - p > alpha)
-        if first == end:
-            return 0, 0
-        n = len(self.levels)
-        return first * 256 // n, (end - 1) * 256 // n + 1
+        return first, bisect_left(self.levels, True, key=lambda v: v - p > alpha)
 
 
 # Spans shorter than this are stepped element by element: marking them costs
@@ -218,13 +207,13 @@ def scan(
     cand = third = None
     if indexed and span >= _SKIP_SPAN and text.codes is not None:
         cand = _candidates(text, pat, alpha, lo, hi)
-        if m >= 3 and len(text.levels) <= 256:
-            # Ranks make the marks exact: a candidate's minute and its
-            # successor are close to pattern[0] and pattern[1], so they take
-            # the state to 2.  With pi[1] == 0, a minute not close to
-            # pattern[2] falls back to state 0 and is compared with
-            # pattern[0] afresh, as a search from it does; otherwise it
-            # falls back to state 1, so no minute exits.
+        if m >= 3:
+            # The marks are exact: a candidate's minute and its successor are
+            # close to pattern[0] and pattern[1], so they take the state to
+            # 2.  With pi[1] == 0, a minute not close to pattern[2] falls back
+            # to state 0 and is compared with pattern[0] afresh, as a search
+            # from it does; otherwise it falls back to state 1, so no minute
+            # exits.
             if pi[1] == 0:
                 third = text.codes[lo:hi].translate(_marks(text, pat[2], alpha))
             else:

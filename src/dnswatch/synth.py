@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .ingest import MAX_SPAN_MINUTES, DnsEventRecord, GroundTruthInterval
+from .model import MAX_COUNT
 
 CLIENT_IPS = ("10.0.0.11", "10.0.0.12", "10.0.0.13", "10.0.0.14")
 SERVER_IPS = ("10.0.1.53", "10.0.2.53")
@@ -68,10 +69,11 @@ class SynthProfile:
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
         horizon = self.total_minutes
-        # An attack minute's extra packets, below (rate / 60 + 1) * 2 * multiplier,
-        # are split over two records, and write_events repeats a record's line
-        # by its count: each count must fit in 64 bits.
-        limit = 2.0**62 / (max(self.high_rate, self.low_rate) / 60.0 + 1.0)
+        # An attack minute holds about quota * noise * multiplier packets, with
+        # quota at most rate / 60 + 1 and noise at most 1 + noise_fraction; 16
+        # covers the roundings, so that ingest takes every minute gen writes.
+        per_unit = (max(self.high_rate, self.low_rate) / 60.0 + 1.0) * (1.0 + self.noise_fraction)
+        limit = (MAX_COUNT - 16.0) / per_unit
         for attack in self.attacks:
             where = f"attack at minute {attack.start_minute}"
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:

@@ -325,6 +325,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"dnswatch: {path}: ") and message in err, err
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, "[" * 200_000 + "]" * 200_000],
+                             ids=["open", "closed"])
+    def test_deeply_nested_report_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert run_cli(["eval", "--report", path, "--truth", truth]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {path}: report nests arrays or objects too deeply to decode\n"
+
     def test_report_event_ending_before_it_starts_exits_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"
         truth.write_text("start_minute,end_minute,label\n")

@@ -230,6 +230,36 @@ class TestScan:
                     text[lo:hi],
                 )
 
+    @pytest.mark.parametrize("n_levels", [1, 2, 37, 200, 256])
+    def test_codes_are_the_ranks_of_at_most_256_levels(self, n_levels):
+        rng = random.Random(n_levels)
+        levels = sorted(rng.sample(range(10_000), n_levels))
+        text = tuple(float(v) for v in levels + [rng.choice(levels) for _ in range(600)])
+        rank = {float(v): r for r, v in enumerate(levels)}
+        assert RankIndex(text).codes == bytes(rank[x] for x in text)
+
+    def test_more_than_256_levels_are_stepped(self):
+        text = tuple(float(v) for v in range(257)) * 3
+        assert RankIndex(text).codes is None
+
+    @pytest.mark.parametrize("n_levels", [256, 257])
+    def test_scan_at_the_level_limit_matches_the_stepped_scan(self, n_levels):
+        # At 256 levels the marks are exact and the scan skips to state 2 and
+        # exits at pattern[2]; at 257 it steps.
+        rng = random.Random(n_levels)
+        levels = [float(v) for v in range(n_levels)]
+        pattern = [rng.choice(levels) for _ in range(6)]
+        text = []
+        while len(text) < 4000:
+            text.extend(pattern if rng.random() < 0.3 else rng.sample(levels, 10))
+        text = tuple(text) + tuple(levels)
+        assert len(set(text)) == n_levels
+        with mock.patch.object(matching, "_SKIP_SPAN", 0):
+            for tol in (Tolerance(0.0, 0.0), Tolerance(1.0, 3.0), Tolerance(40.0, 100.0)):
+                want = reference_search(text, pattern, tol)
+                assert want
+                assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
+
     def test_infinite_levels_are_stepped(self):
         # inf - inf is NaN, which the scan never finds close although the inf
         # level's code lies in the code range of inf, and which at state 1

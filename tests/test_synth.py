@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from dnswatch.model import MAX_COUNT
 from dnswatch.synth import (
     ATTACKER_IP,
     HIGH_WINDOW,
@@ -37,11 +38,27 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match=field):
             SynthProfile(days=1, **{field: rate})
 
-    # 1e300 would add more packets to a minute than a 64-bit count holds
-    @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf, 1e300])
+    # 1e15 and 1e300 would put more packets in a minute than ingest takes
+    @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf, 1e15, 1e300])
     def test_attack_multiplier_must_be_finite_and_positive(self, multiplier):
         with pytest.raises(ValueError, match="attack at minute 10: magnitude_multiplier"):
             SynthProfile(days=1, attacks=(AttackSpec(10, 30, multiplier),))
+
+    @pytest.mark.parametrize(
+        "rates", [{}, {"high_rate": 61.0, "low_rate": 59.0, "noise_fraction": 0.9}]
+    )
+    def test_largest_accepted_multiplier_gives_minutes_ingest_takes(self, rates):
+        def accepted(multiplier):
+            try:
+                return SynthProfile(days=1, attacks=(AttackSpec(830, 60, multiplier),), **rates)
+            except ValueError:
+                return None
+
+        lo, hi = 1.0, 1e300
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        peak = max(_packets_per_minute(accepted(lo)).values())
+        assert MAX_COUNT / 4 < peak < MAX_COUNT
 
     def test_days_must_fit_what_ingest_zero_fills(self):
         # ingest zero-fills at most 366 days of minutes
