@@ -48,6 +48,8 @@ def choice_count_lower(k: int, alpha: int, beta: int) -> int:
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     shifts = beta // alpha
+    if shifts > k:  # comb(k, shifts) is 0: skip the power, which grows with beta
+        return 0
     return comb(k, shifts) * (2 * alpha + 1) ** shifts * max(1, beta % alpha)
 
 
@@ -57,7 +59,8 @@ def choice_count_ie(k: int, alpha: int, beta: int) -> int:
     ``sum_i (-1)**i * C(k, i) * C(beta - i*alpha - 1, k - 1)``.
 
     The sum stops at the last ``i`` whose upper argument is non-negative
-    (``comb`` raises on a negative one); below that, ``comb`` of an upper
+    (``comb`` raises on a negative one), or at ``i = k`` if that comes first,
+    since ``C(k, i)`` is 0 beyond it; below that, ``comb`` of an upper
     argument smaller than ``k - 1`` is 0.
     """
     if alpha < 1:
@@ -65,7 +68,7 @@ def choice_count_ie(k: int, alpha: int, beta: int) -> int:
     if k < 1:
         raise ValueError("k must be at least 1")
     total = 0
-    for i in range((beta - 1) // alpha + 1):
+    for i in range(min(k, (beta - 1) // alpha) + 1):
         term = comb(k, i) * comb(beta - i * alpha - 1, k - 1)
         total += term if i % 2 == 0 else -term
     return total
@@ -82,9 +85,7 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     mode, multiplied by the ``l - k + 1`` possible alignments; each
     admissible window is weighted by a letter-collision probability of
     ``10**-(d-1)`` per aligned position.  That exponent convention is fixed
-    by the reference arithmetic this estimate reproduces; the simulation in
-    :func:`monte_carlo_matches` deliberately does not share it, so the two
-    are not comparable.
+    by the reference arithmetic this estimate reproduces.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -95,30 +96,3 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     alignments = params.l - params.k + 1
     return Fraction(alignments * choices, 10 ** ((params.d - 1) * params.k))
 
-
-def monte_carlo_matches(params: ColdStartParams, trials: int, seed: int) -> float:
-    """Simulate the analysis model directly: draw a uniform pattern and
-    history, count alignments accepted under the per-position bound and the
-    signed total bound, and average over trials.
-
-    Acceptance at an alignment: every aligned difference has magnitude at
-    most ``alpha`` and the SIGNED differences sum to at most ``beta`` (the
-    total is taken on original values, not absolute ones, unlike the
-    production search).  Overlapping alignments all count.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    import numpy as np  # here, not at the top: importing the package skips numpy
-
-    rng = np.random.default_rng(seed)
-    letters = 10**params.d
-    k, l = params.k, params.l
-    total = 0
-    for _ in range(trials):
-        pattern = rng.integers(0, letters, size=k)
-        history = rng.integers(0, letters, size=l)
-        stacked = np.lib.stride_tricks.sliding_window_view(history, k)
-        diffs = stacked - pattern
-        ok = (np.abs(diffs) <= params.alpha).all(axis=1) & (diffs.sum(axis=1) <= params.beta)
-        total += int(ok.sum())
-    return total / trials

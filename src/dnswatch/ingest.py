@@ -33,13 +33,10 @@ _DIRECTIONS = ("tx", "rx")
 # Every series is zero-filled over the span of the whole record set, so one
 # stray timestamp years away would cost a float per minute per series.
 MAX_SPAN_MINUTES = 366 * 1440
-# Lines the events reader counts at a time.  Far larger blocks merge few more
-# repeats, since gen writes each run in one place, but slow down a file whose
-# lines are all distinct.
+# Lines each reader takes, and the events writer writes, at a time.  Far
+# larger blocks merge few more repeats, since gen writes each run in one
+# place, but slow down an events file whose lines are all distinct.
 _BLOCK_LINES = 1024
-# Characters of series rows read at a time.  A block's temporaries take a few
-# times its size; larger blocks were no faster, and slower on long series.
-_SERIES_BLOCK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -249,12 +246,12 @@ def read_series(stream: IO[str]) -> MinuteSeries:
     """The series of a header and rows of contiguous minutes, from a stream
     opened with universal newlines, where CR LF and CR end a line as LF does.
 
-    The rows are read in blocks of about ``_SERIES_BLOCK`` characters.  A block
-    whose lines are all exactly ``<minute>,<value>``, as :func:`write_series`
-    writes them, with the minutes going on from the rows before it, is
-    converted at once.  Any other block is read line by line, which skips
-    blank lines, ignores whitespace around a field and names a row that does
-    not parse by its line number.
+    The rows are read in blocks of ``_BLOCK_LINES`` lines.  A block whose
+    lines are all exactly ``<minute>,<value>``, as :func:`write_series` writes
+    them, with the minutes going on from the rows before it, is converted at
+    once.  Any other block is read line by line, which skips blank lines,
+    ignores whitespace around a field and names a row that does not parse by
+    its line number.
     """
     header = stream.readline().strip()
     if header != SERIES_HEADER:
@@ -263,7 +260,7 @@ def read_series(stream: IO[str]) -> MinuteSeries:
     values: list[float] = []
     contiguous = True
     lineno = 2  # of the block's first line
-    for block in iter(lambda: stream.readlines(_SERIES_BLOCK), []):
+    for block in iter(lambda: list(islice(stream, _BLOCK_LINES)), []):
         exact = _exact_rows(block, None if start is None else start + len(values))
         if exact is not None:
             first, block_values = exact

@@ -207,17 +207,13 @@ def scan(
     cand = third = None
     if indexed and span >= _SKIP_SPAN and text.codes is not None:
         cand = _candidates(text, pat, alpha, lo, hi)
-        if m >= 3:
-            # The marks are exact: a candidate's minute and its successor are
-            # close to pattern[0] and pattern[1], so they take the state to
-            # 2.  With pi[1] == 0, a minute not close to pattern[2] falls back
-            # to state 0 and is compared with pattern[0] afresh, as a search
-            # from it does; otherwise it falls back to state 1, so no minute
-            # exits.
-            if pi[1] == 0:
-                third = text.codes[lo:hi].translate(_marks(text, pat[2], alpha))
-            else:
-                third = b"\x01" * span
+        # The marks are exact: a candidate's minute and its successor are
+        # close to pattern[0] and pattern[1], so they take the state to 2.
+        # With pi[1] == 0, a minute not close to pattern[2] falls back to
+        # state 0 and is compared with pattern[0] afresh, as a search from it
+        # does; otherwise it falls back to state 1, so no minute exits.
+        if m >= 3 and pi[1] == 0:
+            third = text.codes[lo:hi].translate(_marks(text, pat[2], alpha))
     out: list[int] = []
     i = j = 0
     while i < span:
@@ -227,9 +223,9 @@ def scan(
                 i = cand.find(1, i)
                 if i < 0:
                     break
-                if third is not None and i + 2 < span:
+                if m >= 3 and i + 2 < span:
                     i += 2
-                    if not third[i]:
+                    if third is not None and not third[i]:
                         continue
                     j = 2
             # State 0 usually returns within a few elements, so only a short

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dnswatch import cli, evalharness
 from dnswatch.cli import _load_series_dir, main
 from dnswatch.detector import AnomalyEvent
-from dnswatch.ingest import MAX_SPAN_MINUTES, _SERIES_BLOCK, _event_to_json, aggregate_all
+from dnswatch.ingest import MAX_SPAN_MINUTES, _BLOCK_LINES, _event_to_json, aggregate_all
 from dnswatch.model import FeatureKind, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
@@ -867,17 +868,7 @@ class TestSeriesLoader:
 
     @staticmethod
     def _rows(minutes):
-        # Six-digit minutes keep every row one width, so that a gap moves no
-        # row across a block boundary.
         return "".join(f"{m},{m % 7}.5\n" for m in minutes)
-
-    def _first_block(self, tmp_path, minutes):
-        """Write rows of ``minutes``; return their directory and the number of
-        lines in the first block that the reader takes."""
-        series_dir = self._write(tmp_path, "minute,value\n" + self._rows(minutes))
-        with open(series_dir / "A.csv") as fh:
-            fh.readline()
-            return series_dir, len(fh.readlines(_SERIES_BLOCK))
 
     @pytest.mark.parametrize("gap", [
         pytest.param(False, id="contiguous"),
@@ -885,24 +876,21 @@ class TestSeriesLoader:
         pytest.param(True, id="gap-in-the-first-block"),
     ])
     def test_bad_row_in_the_second_block_is_named_by_its_line_number(self, tmp_path, capsys, gap):
-        n = 5 * _SERIES_BLOCK // 12  # rows of 12 characters: several blocks
-        series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
+        n = 5 * _BLOCK_LINES  # several blocks
         minutes = [*range(100_000, 100_010), *range(100_010 + gap, 100_000 + n + gap)]
         rows = self._rows(minutes).splitlines(keepends=True)
-        bad = first + 10
+        bad = _BLOCK_LINES + 10
         rows[bad] = f"{minutes[bad]},x\n"
-        self._write(tmp_path, "minute,value\n" + "".join(rows))
+        series_dir = self._write(tmp_path, "minute,value\n" + "".join(rows))
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         err = capsys.readouterr().err
         assert f"{series_dir / 'A.csv'}: line {bad + 2}: bad row '{minutes[bad]},x'" in err
 
     def test_gap_on_a_block_boundary_is_not_contiguous(self, tmp_path, capsys):
-        n = 3 * _SERIES_BLOCK // 12
-        series_dir, first = self._first_block(tmp_path, range(100_000, 100_000 + n))
-        assert first < n
+        n, first = 3 * _BLOCK_LINES, _BLOCK_LINES
         minutes = [*range(100_000, 100_000 + first), *range(100_001 + first, 100_001 + n)]
-        self._write(tmp_path, "minute,value\n" + self._rows(minutes))
+        series_dir = self._write(tmp_path, "minute,value\n" + self._rows(minutes))
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         assert f"{series_dir / 'A.csv'}: minutes are not contiguous" in capsys.readouterr().err
@@ -945,6 +933,13 @@ class TestExpect:
         assert run_cli(["expect", "--l", "3", "--k", "5", "--d", "1",
                         "--alpha", "1", "--beta", "1"]) == 2
 
+    @pytest.mark.parametrize("mode", ["lower", "inclusion_exclusion"])
+    def test_beta_beyond_every_window_is_zero_at_once(self, capsys, mode):
+        # beta // alpha far above k: no window of k letters reaches it
+        assert run_cli(["expect", "--l", "100", "--k", "10", "--d", "2", "--alpha", "1",
+                        "--beta", "1000000000000", "--mode", mode]) == 0
+        assert capsys.readouterr().out == "0.0000\n"
+
 
 class TestHelp:
     @pytest.mark.parametrize("sub", ["gen", "ingest", "detect", "eval", "sweep", "expect"])
@@ -958,6 +953,9 @@ class TestHelp:
             for flag in ("--epsilon", "--cos-threshold", "--cold-start-factor"):
                 assert flag in out.stdout
             assert "default" in out.stdout
+
+
+_MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
 
 
 # Runs the labelled commands in one fresh interpreter and reports, after the
@@ -974,6 +972,26 @@ print(json.dumps(seen))
 
 
 class TestImports:
+    @staticmethod
+    def _fresh(code):
+        # a fresh interpreter that imports the package under test
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize("module", _MODULES)
+    def test_each_module_imports_on_its_own(self, module):
+        out = self._fresh(f"import dnswatch.{module}")
+        assert out.returncode == 0, out.stderr
+
+    def test_the_package_loads_no_module_and_exports_no_name(self):
+        out = self._fresh(
+            "import json, sys, dnswatch\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('dnswatch.')),\n"
+            "                  sorted(n for n in vars(dnswatch) if not n.startswith('_'))]))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[], []]
+
     def test_numpy_loads_only_for_the_commands_that_compute_with_it(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text(

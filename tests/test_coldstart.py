@@ -1,16 +1,18 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dnswatch import coldstart
 from dnswatch.coldstart import (
     ColdStartParams,
     choice_count_ie,
     choice_count_lower,
     expected_matches,
-    monte_carlo_matches,
 )
 
 
@@ -39,6 +41,16 @@ class TestChoiceCountLower:
         with pytest.raises(ValueError):
             choice_count_lower(3, 0, 5)
 
+    def test_more_shifts_than_letters_builds_no_power(self):
+        # C(24, 10**6) is 0, and 3**(10**6) alone takes about 200 KB
+        tracemalloc.start()
+        try:
+            assert choice_count_lower(24, 1, 10**6) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestChoiceCountIe:
     def test_hand_cases(self):
@@ -53,6 +65,18 @@ class TestChoiceCountIe:
                     assert choice_count_ie(k, alpha, beta) == brute_force_compositions(
                         k, alpha, beta
                     ), (k, alpha, beta)
+
+    def test_sum_stops_at_k(self, monkeypatch):
+        # C(k, i) is 0 for every i > k, so only i = 0..k take two combs each
+        calls = []
+
+        def counted(n, r):
+            calls.append((n, r))
+            return comb(n, r)
+
+        monkeypatch.setattr(coldstart, "comb", counted)
+        assert choice_count_ie(10, 1, 10**6) == 0
+        assert len(calls) <= 2 * (10 + 1)
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 12))
     def test_monotone_in_alpha(self, k, alpha, beta):
@@ -90,42 +114,6 @@ class TestExpectedMatches:
     def test_exact_arithmetic(self):
         value = expected_matches(ColdStartParams(l=100, k=3, d=2, alpha=3, beta=7), "lower")
         assert isinstance(value, Fraction)
-
-
-class TestMonteCarlo:
-    def test_saturated_tolerance_matches_every_alignment(self):
-        params = ColdStartParams(l=30, k=3, d=1, alpha=10, beta=30)
-        assert monte_carlo_matches(params, trials=50, seed=1) == 30 - 3 + 1
-
-    def test_exact_matching_expectation(self):
-        params = ColdStartParams(l=20, k=2, d=1, alpha=0, beta=0)
-        trials = 4000
-        mean = monte_carlo_matches(params, trials=trials, seed=7)
-        expected = (20 - 2 + 1) / 10**2
-        se = (expected / trials) ** 0.5  # near-Poisson count
-        assert abs(mean - expected) <= 3 * se
-
-    def test_enumerated_alignment_probability(self):
-        params = ColdStartParams(l=20, k=2, d=1, alpha=2, beta=3)
-        per_alignment = sum(
-            1
-            for x1 in range(10)
-            for x2 in range(10)
-            for y1 in range(10)
-            for y2 in range(10)
-            if abs(y1 - x1) <= 2 and abs(y2 - x2) <= 2 and (y1 - x1) + (y2 - x2) <= 3
-        ) / 10**4
-        expected = (20 - 2 + 1) * per_alignment
-        trials = 4000
-        mean = monte_carlo_matches(params, trials=trials, seed=11)
-        se = (expected / trials) ** 0.5
-        assert abs(mean - expected) <= 3 * se
-
-    def test_deterministic_given_seed(self):
-        params = ColdStartParams(l=25, k=3, d=1, alpha=1, beta=2)
-        a = monte_carlo_matches(params, trials=200, seed=99)
-        b = monte_carlo_matches(params, trials=200, seed=99)
-        assert a == b
 
 
 class TestParams:

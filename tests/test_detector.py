@@ -73,6 +73,7 @@ class TestCosine:
         assert cosine([1e-170] * 3, [5.0] * 3) == 0.0
         assert cosine([1e-200], [1e-200]) == 0.0
         assert cosine([5.0] * 3, [1e-170] * 3) == 0.0
+        assert cosine([1e-100] * 2, [1e-100] * 2) == 0.0  # each norm > 0, the product not
 
     @given(st.data())
     def test_range_for_non_negative_inputs(self, data):
@@ -128,6 +129,13 @@ class TestDetectSeries:
         flags = detect_series(_series([0.0] * 120), cfg)
         assert flags
         assert not any(f.flagged for f in flags)
+
+    def test_all_zero_observed_window_never_flags(self):
+        # the prediction is far from the silent window and their cosine is 0
+        values = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] * 10 + [0.0] * 6
+        last = detect_series(_series(values), DetectorConfig(k=6, lookback=48))[-1]
+        assert (last.window_start, last.cold_start, last.cosine) == (60, False, 0.0)
+        assert last.mse > 100.0 and not last.flagged
 
     def test_too_short_series_rejected(self):
         cfg = DetectorConfig(k=24)
