@@ -8,7 +8,8 @@ estimate does not say how often the detector lacks a prediction on them.
 Two counting modes for the per-window choices are provided: a coarse product
 bound and an exact inclusion-exclusion count of bounded compositions.  All
 counting is exact big-integer arithmetic; only the final expectation is a
-ratio.
+ratio.  Parameters whose integers would take more than about a second to
+build are rejected before any of them is built.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class ColdStartParams:
             raise ValueError("need d >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("tolerances must be non-negative")
+        # Inclusion-exclusion builds larger integers than the lower mode from
+        # the same parameters, so what the lower mode cannot build in time no
+        # mode can; expected_matches checks the mode it runs.
+        _check_sizes(self, "lower")
 
 
 def choice_count_lower(k: int, alpha: int, beta: int) -> int:
@@ -89,6 +94,7 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    _check_sizes(params, mode)
     if mode == "lower":
         choices = choice_count_lower(params.k, params.alpha, params.beta)
     else:
@@ -96,3 +102,58 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     alignments = params.l - params.k + 1
     return Fraction(alignments * choices, 10 ** ((params.d - 1) * params.k))
 
+
+# Limits on the exact integers of expected_matches, so that every input it
+# accepts answers within a second: on a 2-core VM with Python 3.11 each limit
+# alone takes about 0.3 s, and the slowest mix of them measured 0.86 s from
+# the command line.  _POWER_BITS bounds the bit lengths of the ratio's
+# denominator, 10**((d - 1) * k), and of its numerator.  _SQUARED_BITS bounds
+# the costs that grow as the product of two bit lengths: the sum of the
+# squares of a mode's binomials (math.comb's time grows about as the square of
+# its result's size), and the numerator's times the denominator's (Fraction's
+# gcd of the two).
+_POWER_BITS = 2**22
+_SQUARED_BITS = 2**36
+
+
+def _comb_bits(n: int, r: int) -> int:
+    """An upper bound on the bit length of ``comb(n, r)``, from
+    ``comb(n, m) <= (e*n/m)**m`` with ``m = min(r, n - r)``; 0 if ``r > n``."""
+    m = min(r, n - r)
+    return m * (n.bit_length() - m.bit_length() + 3) if m > 0 else 0
+
+
+def _check_sizes(params: ColdStartParams, mode: str) -> None:
+    """Raise ValueError if an integer that :func:`expected_matches` builds in
+    ``mode`` would pass its limit, estimated from bit lengths alone."""
+    l, k, d, alpha, beta = params.l, params.k, params.d, params.alpha, params.beta
+    if alpha < 1:  # both modes reject it before building anything
+        return
+    den = (d - 1) * k * 10 // 3  # a decimal digit takes less than 10/3 bits
+    _check(den, _POWER_BITS, "--d and --k", "the bit length of 10**((d - 1) * k)")
+    flags = "--k, --alpha and --beta"
+    if mode == "lower":
+        shifts = beta // alpha
+        if k < shifts:  # choice_count_lower returns 0 at once
+            return
+        combs = _comb_bits(k, shifts)
+        squares = combs**2
+        num = combs + shifts * (2 * alpha + 1).bit_length() + alpha.bit_length()
+    else:
+        terms = max(0, min(k, (beta - 1) // alpha) + 1)
+        # comb(beta - i*alpha - 1, k - 1) is largest at i = 0, and it bounds
+        # the count of compositions, the sum
+        num = _comb_bits(beta - 1, k - 1)
+        squares = terms * (_comb_bits(k, min(terms - 1, k // 2)) + num) ** 2
+    _check(squares, _SQUARED_BITS, flags, f"the squared bit lengths of the binomials of {mode}")
+    num += l.bit_length()
+    _check(num, _POWER_BITS, "--l, --k, --alpha and --beta", "the bit length of the numerator")
+    flags = "--l, --k, --d, --alpha and --beta"
+    _check(num * den, _SQUARED_BITS, flags, "the numerator's bit length times the denominator's")
+
+
+def _check(value: int, limit: int, flags: str, what: str) -> None:
+    if value > limit:
+        raise ValueError(
+            f"{flags} are too large to compute: {what} would be {value}, over {limit}"
+        )

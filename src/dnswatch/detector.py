@@ -8,7 +8,9 @@ when the prediction and the observation disagree on BOTH measures: mean
 squared error above the adaptive threshold and cosine similarity below the
 configured cutoff.  The two measures are deliberately complementary: the
 squared error is scale dependent while the cosine is scale invariant, so
-noise that inflates one rarely clears both.
+noise that inflates one rarely clears both.  A window with no match to
+average is flagged by the cold-start rule instead: when its mean is an order
+of magnitude above the pattern's.
 
 Each series runs in three steps: a plan of every window's history bounds and
 thresholds, which no method changes; the method's prediction for each window,
@@ -18,10 +20,6 @@ rank index of the series (see :mod:`dnswatch.matching`) and scans each
 window's history in place; a window whose pattern is all zero is not
 scanned but answered from the series' zero runs, found by one regex over a
 zero mask of the series.
-
-Threshold adaptation: the error threshold is the squared logarithm, in base
-``10 - epsilon``, of the largest count seen so far in the series; the search
-tolerances scale from it with the pattern mean.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 # the benchmark's tracer (perfbench/child.py) wraps detector.search by name.
 from .matching import RankIndex, Tolerance, scan, search  # noqa: F401
 from .model import FeatureKind, MinuteSeries, SeriesKey
-from .predictor import cold_start_decision, predict
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,12 @@ def cosine(pred: Sequence[float], observed: Sequence[float]) -> float:
     return dot / math.sqrt(pp * ee)
 
 
+def _mean(values: Sequence[float]) -> float:
+    # A left fold, not sum(), which compensates from Python 3.12 on and so
+    # would give other bits there.
+    return reduce(add, values, 0.0) / len(values)
+
+
 def compute_thresholds(maxvalue: float, pattern: Sequence[float], epsilon: float) -> ThresholdSet:
     """Error threshold from the running maximum, search tolerances from it.
 
@@ -131,14 +134,59 @@ def compute_thresholds(maxvalue: float, pattern: Sequence[float], epsilon: float
         err = 1.0
     else:
         err = (math.log(maxvalue) / math.log(base)) ** 2
-    # A left fold, not sum(), which compensates from Python 3.12 on and so
-    # would give other bits there.
-    mean_p = reduce(add, pattern, 0.0) / len(pattern)
+    mean_p = _mean(pattern)
     return ThresholdSet(
         error_threshold=err,
         alpha=err * (1.0 + epsilon) * mean_p / len(pattern),
         beta=err * mean_p,
     )
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """Averaged post-match window, or a cold-start marker when none exists."""
+
+    values: Optional[tuple[float, ...]]
+    contributor_count: int
+
+
+COLD_START = Prediction(values=None, contributor_count=0)
+
+
+def predict(text: Sequence[float], starts: Sequence[int], k: int, h: int) -> Prediction:
+    """Average the ``h`` values following each match of a length-``k`` pattern.
+
+    ``starts`` are match start indices into ``text``.  Only matches with a
+    complete following window (``start + k + h <= len(text)``) contribute;
+    with no contributors the result is the cold-start marker.
+    """
+    if k < 1 or h < 1:
+        raise ValueError("pattern length and horizon must be at least 1")
+    contributors = [s for s in starts if s + k + h <= len(text)]
+    if not contributors:
+        return COLD_START
+    values = [0.0] * h
+    for s in contributors:
+        values = list(map(add, values, text[s + k : s + k + h]))
+    n = len(contributors)
+    return Prediction(values=tuple(v / n for v in values), contributor_count=n)
+
+
+def cold_start_decision(
+    pattern: Sequence[float], observed: Sequence[float], factor: float
+) -> bool:
+    """Anomaly call when no prediction exists: is the observed window an
+    order of magnitude above the pattern that precedes it?
+
+    True iff ``mean(observed) >= factor * max(mean(pattern), 1)``.  The floor
+    of 1 in the denominator keeps all-zero patterns from flagging every
+    non-zero window, and an all-zero observed window is never flagged.
+    """
+    if len(pattern) == 0 or len(observed) == 0:
+        raise ValueError("pattern and observed window must be non-empty")
+    if not 0.0 < factor < math.inf:
+        raise ValueError("factor must be finite and positive")
+    return _mean(observed) >= factor * max(_mean(pattern), 1.0)
 
 
 @dataclass(frozen=True)

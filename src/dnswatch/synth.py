@@ -63,17 +63,23 @@ class SynthProfile:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("high_rate", "low_rate"):
             rate = getattr(self, name)
-            # numpy draws each minute's packets as one 64-bit count
-            if not 0.0 < rate < 2.0**63:
-                raise ValueError(f"{name} must be positive and below 2**63, got {rate!r}")
+            if not rate > 0.0:  # also false for nan
+                raise ValueError(f"{name} must be positive, got {rate!r}")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
         horizon = self.total_minutes
-        # An attack minute holds about quota * noise * multiplier packets, with
-        # quota at most rate / 60 + 1 and noise at most 1 + noise_fraction; 16
-        # covers the roundings, so that ingest takes every minute gen writes.
-        per_unit = (max(self.high_rate, self.low_rate) / 60.0 + 1.0) * (1.0 + self.noise_fraction)
+        # A minute holds about quota * noise packets, times the multiplier in
+        # an attack, with quota at most rate / 60 + 1 and noise at most
+        # 1 + noise_fraction.  Rounding rate * (m + 1) / 60 for the quota and
+        # the products after it adds less than 2**-40 of that, and 16 covers
+        # the roundings of small counts, so that ingest takes every minute gen
+        # writes.
+        name = "high_rate" if self.high_rate >= self.low_rate else "low_rate"
+        rate = getattr(self, name)
+        per_unit = (rate / 60.0 + 1.0) * (1.0 + self.noise_fraction) * (1.0 + 2.0**-40)
         limit = (MAX_COUNT - 16.0) / per_unit
+        if limit < 1.0:
+            raise ValueError(f"{name} puts 2**53 packets or more in a minute, got {rate!r}")
         for attack in self.attacks:
             where = f"attack at minute {attack.start_minute}"
             if attack.start_minute < 0 or attack.start_minute + attack.duration_minutes > horizon:

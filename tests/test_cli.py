@@ -1,8 +1,10 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -933,6 +935,15 @@ class TestExpect:
         assert run_cli(["expect", "--l", "3", "--k", "5", "--d", "1",
                         "--alpha", "1", "--beta", "1"]) == 2
 
+    def test_integer_too_large_to_build_exits_2_at_once(self, capsys):
+        # 10**((d - 1) * k) would hold about 5e9 digits
+        t0 = time.perf_counter()
+        assert run_cli(["expect", "--l", "10", "--k", "5", "--d", "1000000000",
+                        "--alpha", "1", "--beta", "2"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("dnswatch: --d and --k are too large") and err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", ["lower", "inclusion_exclusion"])
     def test_beta_beyond_every_window_is_zero_at_once(self, capsys, mode):
         # beta // alpha far above k: no window of k letters reaches it
@@ -958,6 +969,24 @@ class TestHelp:
 _MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
 
 
+def _traced_names():
+    """(module, name) of each ``rec.wrap(module, "name", ...)`` in the
+    benchmark child's ``_install``, the module resolved from its
+    ``module = sys.modules["dnswatch.module"]`` line there."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "child.py").read_text())
+    install = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_install")
+    modules = {
+        a.targets[0].id: a.value.slice.value
+        for a in ast.walk(install)
+        if isinstance(a, ast.Assign) and isinstance(a.value, ast.Subscript)
+    }
+    return [
+        (modules[c.args[0].id], c.args[1].value)
+        for c in ast.walk(install)
+        if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute) and c.func.attr == "wrap"
+    ]
+
+
 # Runs the labelled commands in one fresh interpreter and reports, after the
 # import and after each command, whether numpy has been loaded.
 _NUMPY_PROBE = """
@@ -977,6 +1006,14 @@ class TestImports:
         # a fresh interpreter that imports the package under test
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+    def test_every_name_the_benchmark_tracer_wraps_exists(self):
+        # the tracer wraps each name by attribute once dnswatch.cli is
+        # imported, so a moved name stops the traced benchmark runs
+        names = _traced_names()
+        assert len(names) >= 11
+        missing = [(m, n) for m, n in names if not hasattr(sys.modules.get(m), n)]
+        assert missing == []
 
     @pytest.mark.parametrize("module", _MODULES)
     def test_each_module_imports_on_its_own(self, module):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -124,3 +125,36 @@ class TestParams:
             ColdStartParams(l=5, k=5, d=0, alpha=1, beta=1)
         with pytest.raises(ValueError):
             ColdStartParams(l=5, k=2, d=1, alpha=-1, beta=1)
+
+    @pytest.mark.parametrize(
+        "params, flags",
+        [
+            ((10, 5, 10**9, 1, 2), "--d and --k"),  # 10**((d - 1) * k): 5e9 digits
+            ((10**9, 10**9, 1, 1, 10**9), "--l, --k, --alpha and --beta"),  # 3**(10**9)
+            ((2**18, 2**18, 1, 1, 2**17), "--k, --alpha and --beta"),  # comb(2**18, 2**17)
+            ((4096, 4096, 5, 2**1000, 2**1012), "--l, --k, --d, --alpha and --beta"),  # the gcd
+        ],
+        ids=["denominator", "numerator", "binomial", "gcd"],
+    )
+    def test_integers_too_large_to_build_are_rejected_unbuilt(self, params, flags):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(flags) + " are too large"):
+                ColdStartParams(*params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_inclusion_exclusion_checks_its_own_integers(self):
+        # beta // alpha > k, so the lower mode builds no power, but the
+        # inclusion-exclusion sum has 10**5 + 1 terms of about 2.5e6 bits
+        params = ColdStartParams(l=10**5, k=10**5, d=1, alpha=1, beta=10**12)
+        assert expected_matches(params, "lower") == 0
+        with pytest.raises(ValueError, match="binomials of inclusion_exclusion"):
+            expected_matches(params, "inclusion_exclusion")
+
+    def test_what_answers_at_once_is_accepted(self):
+        # 10**99990 takes a few milliseconds
+        params = ColdStartParams(l=100, k=10, d=10**4, alpha=1, beta=2)
+        assert expected_matches(params, "lower") == Fraction(91 * 45 * 9, 10**99990)

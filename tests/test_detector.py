@@ -16,12 +16,12 @@ from dnswatch.detector import (
     cosine,
     detect_series,
     mse,
+    predict,
     score_aggregate,
 )
 from dnswatch.ingest import aggregate_all
 from dnswatch.matching import RankIndex, Tolerance, scan, search
 from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
-from dnswatch.predictor import predict
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dnswatch.predictor import COLD_START, cold_start_decision, predict
+from dnswatch.detector import COLD_START, cold_start_decision, predict
 
 
 class TestPredict:

@@ -10,6 +10,7 @@ from dnswatch.synth import (
     VICTIM_IP,
     AttackSpec,
     SynthProfile,
+    _minute_quota,
     iter_events,
     truth_intervals,
 )
@@ -32,11 +33,28 @@ class TestProfileValidation:
             SynthProfile(noise_fraction=1.0)
 
     @pytest.mark.parametrize("field", ["high_rate", "low_rate"])
-    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf, -math.inf, 1e300])
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf, -math.inf, 1e300, 1e18])
     def test_rates_must_be_finite_and_drawable(self, field, rate):
-        # numpy draws each minute's packets as one 64-bit count
+        # 1e18 packets an hour put about 1.7e16 in a minute, more than ingest takes
         with pytest.raises(ValueError, match=field):
             SynthProfile(days=1, **{field: rate})
+
+    @pytest.mark.parametrize("noise_fraction", [0.0, 0.05, 0.9])
+    @pytest.mark.parametrize("field", ["high_rate", "low_rate"])
+    def test_largest_accepted_rate_gives_minutes_ingest_takes(self, field, noise_fraction):
+        def accepted(rate):
+            try:
+                SynthProfile(days=1, attacks=(), noise_fraction=noise_fraction, **{field: rate})
+                return True
+            except ValueError:
+                return False
+
+        lo, hi = 1.0, 1e300
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        # a minute draws round(quota * noise) packets, noise at most 1 + noise_fraction
+        peak = max(round(_minute_quota(lo, m) * (1.0 + noise_fraction)) for m in range(60))
+        assert MAX_COUNT / 2 < peak < MAX_COUNT
 
     # 1e15 and 1e300 would put more packets in a minute than ingest takes
     @pytest.mark.parametrize("multiplier", [0.0, math.nan, math.inf, 1e15, 1e300])

@@ -43,6 +43,7 @@ _AGGREGATE_ORACLE = (
     "tests/test_detector.py::TestScoreAggregateOracle::test_every_field_matches_the_per_minute_oracle"
 )
 _ALL_ZERO_ORACLE = "tests/test_detector.py::TestAllZeroPatterns::test_fast_path_matches_search_and_predict"
+_COLD_START = "tests/test_predictor.py::TestColdStartDecision::"
 _SILENT_AR = (
     "tests/test_baseline_ar.py::TestSilentHistories::"
     "test_negative_zero_minutes_flag_and_score_as_window_local"
@@ -177,6 +178,29 @@ MUTANTS = [
         (_ALL_ZERO_ORACLE,),
     ),
     Mutant(
+        "cold-start-flags-at-factor-times-the-pattern",
+        "detector.py",
+        "_mean(observed) >= factor",
+        "_mean(observed) > factor",
+        (
+            _COLD_START + "test_order_of_magnitude_rule",
+            _COLD_START + "test_zero_pattern_floor",
+            _COLD_START + "test_means_are_left_folds_on_every_python",
+        ),
+    ),
+    Mutant(
+        "cold-start-pattern-mean-floor-of-1",
+        "detector.py",
+        "max(_mean(pattern), 1.0)",
+        "_mean(pattern)",
+        (
+            _COLD_START + "test_zero_observation_never_flags",
+            _COLD_START + "test_zero_pattern_floor",
+            _COLD_START + "test_means_are_left_folds_on_every_python",
+            "tests/test_detector.py::TestDetectSeries::test_all_zero_series_never_flags",
+        ),
+    ),
+    Mutant(
         "thresholds-read-only-minutes-before-t",
         "detector.py",
         "max(values[seen:t])",
@@ -305,6 +329,15 @@ MUTANTS = [
         "if shifts > k:",
         "if shifts >= k:",
         ("tests/test_coldstart.py::TestChoiceCountLower::test_hand_evaluation",),
+    ),
+    Mutant(
+        "sizes-too-large-to-build-are-rejected",
+        "coldstart.py",
+        "    if value > limit:",
+        "    if False:",
+        (
+            "tests/test_coldstart.py::TestParams::test_integers_too_large_to_build_are_rejected_unbuilt",
+        ),
     ),
     Mutant(
         "ie-sum-stops-at-k",
