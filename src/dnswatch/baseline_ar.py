@@ -12,11 +12,11 @@ series, sized to the largest candidate lag of its windows, ``L``: that takes
 then costs O(L^2) however long its history.  ``fit_ar`` builds them over its
 own history and takes the same path.  Each window sum is a difference of two
 prefix sums.  For integer counts no prefix sum exceeds the total of
-``y**2``: below ``MAX_COUNT`` every sum is exact, and past it every window
-is fitted with ``fit_ar`` alone, so a window fits bit for bit as it would
-from its own history alone.  On other values the rounding error grows with
-the length of the prefix rather than the window, most for a short lookback
-late in a long series.
+``y**2``: below ``MAX_COUNT`` every sum is exact, and past it detection
+builds no sums and fits every window with ``fit_ar`` alone, so a window fits
+bit for bit as it would from its own history alone.  On other values the
+rounding error grows with the length of the prefix rather than the window,
+most for a short lookback late in a long series.
 
 Detection fits the windows of a series in stacks of at most ``_CHUNK``
 that share a largest candidate lag: one stacked Cholesky factorization and
@@ -83,8 +83,6 @@ class _LaggedSums:
         for d in range(max_lag + 1):
             np.cumsum(y[: n - d] * y[d:], out=self._sums[d, 1 : n - d + 1])
         np.cumsum(y, out=self._sums[-1, 1:])
-        # Every prefix sum of integer counts is exact: none exceeds sum(y**2).
-        self.exact = self._sums[0, n] < MAX_COUNT
         # Over the targets s of a window, entry (a, b) of the lagged products
         # sum(y[s - a] * y[s - b]) lies in row |a - b| at column s - max(a, b);
         # this is its flat offset, to which a window adds its column bound.
@@ -258,7 +256,9 @@ def _predict_ar(
     nonzero = np.concatenate(([0], np.cumsum(arr != 0.0)))
     max_lags[nonzero[t] == nonzero[lo]] = 0
     top = int(max_lags.max())
-    sums = _LaggedSums(arr, top)
+    # For integer counts no prefix sum exceeds sum(y**2), so below MAX_COUNT
+    # every sum is exact; it is added up here as row 0 of the sums adds it.
+    sums = _LaggedSums(arr, top) if np.cumsum(arr * arr)[-1] < MAX_COUNT else None
     lags = np.zeros(len(windows), dtype=int)
     coef = np.zeros((len(windows), top + 1))
     for max_lag in sorted(set(max_lags.tolist())):
@@ -268,7 +268,7 @@ def _predict_ar(
             continue
         for start in range(0, group.size, _CHUNK):
             chunk = group[start : start + _CHUNK]
-            if sums.exact:
+            if sums is not None:
                 try:
                     lags[chunk], coef[chunk, : max_lag + 1] = sums.fit(lo[chunk], t[chunk], max_lag)
                     continue

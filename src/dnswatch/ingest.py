@@ -17,9 +17,9 @@ import csv
 import dataclasses
 import json
 from collections import Counter, defaultdict
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import PurePath
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from urllib.parse import quote, unquote
 
 from .detector import AnomalyEvent, WindowFlag
@@ -71,11 +71,11 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     The file is read in blocks of ``_BLOCK_LINES`` lines.  The identical lines
     of a block are counted, each distinct line is parsed once, and its record
     carries the count; records follow the order in which their lines first
-    occur in the block.  A quoted field may span lines, so from the first
-    block that holds a ``"`` on, rows are parsed one by one, each with count
-    1.  Raises :class:`ParseError` on the first bad line, numbered as the rows
-    of a ``csv.reader`` over the file are, or, where ``csv`` itself rejects
-    a line (a field over its size limit), at the line it stopped on.
+    occur in the block.  No field holds a line break, so a row is one line.
+    Raises :class:`ParseError` on the first bad line of the file, a quoted
+    field that does not end on its line among them, or, where ``csv`` itself
+    rejects a line (a field over its size limit), at the line it stopped on;
+    lines are numbered from the header, line 1.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -86,8 +86,26 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     if header != EVENTS_HEADER:
         raise ParseError(f"bad events header: expected {','.join(EVENTS_HEADER)}, got {header}")
     new = tuple.__new__  # looked up once, not for every row
-    for pairs, lineno in _row_groups(lines):
-        for row, count in pairs:
+    first = 2  # the number of the block's first line
+    for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
+        counts = Counter(block)  # keys in order of first occurrence
+        # An open quoted field swallows the empty line added after the keys,
+        # and adds nothing to itself, so that line is a row of its own only
+        # when every field ends on its line.
+        keys = [*counts, ""]
+        reader = csv.reader(keys)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"line {first + block.index(keys[reader.line_num - 1])}: {exc}") from None
+        end = len(counts)  # the rows before the first that runs on
+        if len(rows) <= end:
+            reader = csv.reader(keys)
+            end = next(i for i, _ in enumerate(reader) if reader.line_num > i + 1)
+            del rows[end:]
+        # a bad row's first distinct line is the block's first bad line
+        lineno = lambda row: first + block.index(keys[rows.index(row)])
+        for row, count in zip(rows, counts.values()):
             try:
                 ts_raw, src, dst, direction, malformed = row
             except ValueError:
@@ -123,45 +141,9 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
             # the same record as DnsEventRecord(...), without a call to the
             # generated Python-level __new__ for every row
             yield new(DnsEventRecord, (ts, src, dst, direction, malformed == "1", count))
-
-
-def _row_groups(lines: Iterator[str]) -> Iterator[tuple[Iterator, Callable[[list[str]], int]]]:
-    """The ``(row, count)`` pairs of the lines after an events header, in groups.
-
-    Each group comes with ``lineno(row)``, which numbers a bad row just taken
-    from the group.  Without quotes, a group is a block of lines and its rows
-    are the block's distinct lines, with their counts; a bad row is the first
-    distinct line that parses to it, and that line's first copy is the
-    block's first bad line.  From the first block that holds a ``"`` on, a
-    group is a block of rows with count 1, and a bad row is the first row of
-    its group equal to it.  A ``lineno`` reads its group's variables, so it
-    holds only until the next group is asked for.  A line that ``csv``
-    rejects raises :class:`ParseError` here, named by its line.
-    """
-    first = 2  # the number of the group's first row
-    for block in iter(lambda: list(islice(lines, _BLOCK_LINES)), []):
-        counts = Counter(block)  # keys in order of first occurrence
-        if '"' in "".join(counts):
-            break
-        keys = list(counts)
-        reader = csv.reader(keys)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            line = keys[reader.line_num - 1]
-            raise ParseError(f"line {first + block.index(line)}: {exc}") from None
-        yield zip(rows, counts.values()), lambda row: first + block.index(keys[rows.index(row)])
+        if end < len(counts):
+            raise ParseError(f"line {first + block.index(keys[end])}: quoted field does not end on its line")
         first += len(block)
-    else:
-        return
-    start = first  # lines and rows coincide up to here
-    rows = csv.reader(chain(block, lines))
-    try:
-        for chunk in iter(lambda: list(islice(rows, _BLOCK_LINES)), []):
-            yield zip(chunk, repeat(1)), lambda row: first + chunk.index(row)
-            first += len(chunk)
-    except csv.Error as exc:
-        raise ParseError(f"line {start + rows.line_num - 1}: {exc}") from None
 
 
 class _Formatted:

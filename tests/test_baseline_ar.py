@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +12,7 @@ from dnswatch import baseline_ar
 from dnswatch.baseline_ar import ArModel, _predict_ar, detect_series_ar, fit_ar, forecast_ar
 from dnswatch.detector import DetectorConfig, Window, _decide, _plan_windows
 from dnswatch.ingest import aggregate_all
-from dnswatch.model import FeatureKind, MinuteSeries, SeriesKey
+from dnswatch.model import MAX_COUNT, FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
 
 
@@ -181,6 +182,36 @@ class TestWholeSeriesSums:
         windows = _plan_windows(series, cfg)
         reference = _decide(series, cfg, windows, _window_local_predictions(series.values, cfg, windows))
         assert _bits(detect_series_ar(series, cfg)) == _bits(reference)
+
+    def test_sums_past_max_count_are_not_built(self):
+        # sum(y**2) passes 2**53 after about 2,250 of these minutes; the sums
+        # of lookback 240, at candidate lags up to 60, would take 62 * (n + 1) floats
+        n = 5000
+        rng = np.random.default_rng(1)
+        series = _series(rng.integers(2_000_000, 2_000_040, n).astype(float).tolist())
+        tracemalloc.start()
+        try:
+            detect_series_ar(series, DetectorConfig(lookback=240))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 62 * (n + 1) * 8
+
+    # sum(y**2) is 2**53 - 2**28 + 2 + 98 * tail**2: 11,004 below 2**53 at a
+    # tail of 1655, past it from 1656 on
+    @pytest.mark.parametrize("tail", [1, 1655, 1656, 1700])
+    def test_sums_are_built_when_their_squares_sum_below_max_count(self, tail):
+        arr = np.array([2.0**26 - 1] * 2 + [float(tail)] * 98)
+        exact = baseline_ar._LaggedSums(arr, 1)._sums[0, -1] < MAX_COUNT
+        assert exact == (tail <= 1655)
+        cfg = DetectorConfig()
+        windows = _plan_windows(_series(arr.tolist()), cfg)
+        with mock.patch.object(
+            baseline_ar, "_LaggedSums", side_effect=baseline_ar._LaggedSums
+        ) as built:
+            _predict_ar(arr.tolist(), cfg, windows)
+        # fit_ar builds sums over a window's history alone
+        assert any(call.args[0].size == arr.size for call in built.call_args_list) == exact
 
     @pytest.mark.parametrize("lookback", [48, 200])
     def test_non_integer_values_agree_within_rtol(self, lookback):

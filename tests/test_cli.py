@@ -368,6 +368,25 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("sub", ["ingest", "sweep"])
+    def test_quoted_field_that_runs_on_exits_2_naming_file_and_line(self, tmp_path, capsys, sub):
+        events = tmp_path / "events.csv"
+        # no series may be keyed on the IP "10.0.0.\n11"
+        events.write_text(
+            'ts_epoch_s,src_ip,dst_ip,direction,malformed\n60,"10.0.0.\n11",10.0.1.53,tx,0\n'
+        )
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+        out = tmp_path / "out"
+        args = {
+            "ingest": ["--events", events, "--out-dir", out],
+            "sweep": ["--events", events, "--truth", truth, "--out", out],
+        }[sub]
+        assert run_cli([sub, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {events}: line 2: quoted field does not end on its line\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sub, flag", [
         ("ingest", "--events"), ("sweep", "--events"), ("sweep", "--truth"), ("eval", "--truth"),
     ])

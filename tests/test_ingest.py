@@ -112,12 +112,14 @@ class TestParseEvents:
 
 
 def _reference_parse(stream):
-    """One count-1 record per row of a csv.reader, named by its row number."""
+    """One count-1 record per row of a csv.reader, each row one line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != EVENTS_FIELDS:
         raise ParseError(f"bad events header: expected {','.join(EVENTS_FIELDS)}, got {header}")
     for lineno, row in enumerate(reader, start=2):
+        if reader.line_num > lineno or any("\n" in f or "\r" in f for f in row):
+            raise ParseError(f"line {lineno}: quoted field does not end on its line")
         if not row:
             continue
         if len(row) != 5:
@@ -163,6 +165,9 @@ _BAD_ROWS = [
 # a quoted field that spans two lines, and one that does not
 _QUOTED_ROWS = ['60,"10.0.0.\n11",10.0.1.53,tx,0', '"120",10.0.0.66,10.0.1.99,rx,1']
 _EOLS = ["\n", "\r\n"]
+_GOOD = _GOOD_ROWS[0] + "\n"
+# the two lines of _QUOTED_ROWS[0]
+_RUN_ON = (_QUOTED_ROWS[0] + "\n").splitlines(keepends=True)
 
 
 def _runs(rng, lines):
@@ -192,6 +197,7 @@ def _block_edge_cases():
         "quoted-in-first-block": [good] * 10 + [quoted] + [good] * 2000,
         "quoted-in-later-block": [good] * 2500 + [quoted, good, quoted] + [good] * 100,
         "quoted-then-bad-row": [good] * 1500 + [quoted] + [good] * 5 + [bad] + [good] * 10,
+        "bad-row-then-quoted": [good] * 1500 + [bad] + [good] * 5 + [quoted] + [good] * 10,
         "bad-row-repeated-in-its-block": [good] * 1500 + [bad, good, bad] + [good] * 10,
         "bad-row-first-in-later-block": [good] * 2048 + [bad] + [good] * 10,
         "bad-row-after-many-copies": [good] * 1100 + [_GOOD_ROWS[2] + "\n"] * 900 + [bad, bad],
@@ -235,13 +241,16 @@ class TestCountedRuns:
         )
         assert _outcome(parse_events, cases["bad-row-after-many-copies"]).startswith("line 2002: ")
         assert _outcome(parse_events, cases["bad-row-repeated-in-its-block"]).startswith("line 1502: ")
-        # the quoted row spans two lines but is one row
-        assert _outcome(parse_events, cases["quoted-then-bad-row"]).startswith("line 1508: ")
+        # the quoted field runs on from its line, which comes before the bad row
+        assert _outcome(parse_events, cases["quoted-then-bad-row"]) == (
+            "line 1502: quoted field does not end on its line"
+        )
 
     def test_field_over_the_csv_limit_is_named_by_its_line(self):
         # csv rejects a field of more than 131,072 characters; the reader
         # names the line it stopped on, in the header, among counted lines
-        # of a later block and after a quoted row that spans two lines
+        # of a later block and after a quoted field that runs on in the same
+        # block, since csv's own error comes first
         big = f"60,{'1' * 200_000},b,tx,0\n"
         good, quoted = _GOOD_ROWS[0] + "\n", _QUOTED_ROWS[0] + "\n"
         for text, line in [
@@ -251,6 +260,40 @@ class TestCountedRuns:
         ]:
             with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
                 list(parse_events(io.StringIO(text, newline="")))
+
+    @pytest.mark.parametrize("lines, line", [
+        ([_GOOD] * 5 + [_RUN_ON[0], _RUN_ON[1]] + [_GOOD] * 10, 7),
+        # the block's last distinct line, its field never closed in the file
+        ([_GOOD] * 3 + [_RUN_ON[0]] + [_GOOD] * 20, 5),
+        ([_GOOD] * 3 + [_RUN_ON[0]], 5),
+        ([_GOOD] * 3 + [_RUN_ON[0].rstrip("\n")], 5),
+        # the last line of the first block, closed on the first of the next
+        ([_GOOD] * 1023 + [_RUN_ON[0], _RUN_ON[1]] + [_GOOD] * 5, 1025),
+        # a bad row after the field in the same block is not reached
+        ([_GOOD] * 2 + [_RUN_ON[0], _RUN_ON[1], _BAD_ROWS[0] + "\n"], 4),
+        # a field of exactly csv's limit, line end included, to the end of the file
+        ([_GOOD, '60,"' + "1" * (csv.field_size_limit() - 1) + "\n"], 3),
+    ], ids=["mid-block", "last-distinct-line", "last-line", "last-line-without-its-end",
+            "into-the-next-block", "before-a-bad-row", "at-the-field-limit"])
+    def test_quoted_field_that_runs_on_is_named_at_its_line(self, lines, line):
+        message = f"line {line}: quoted field does not end on its line"
+        assert _outcome(parse_events, lines) == message
+        if lines[-1].endswith("\n"):
+            assert _outcome(_reference_parse, lines) == message
+
+    def test_fully_quoted_file_is_read_as_counted_runs(self):
+        profile = SynthProfile(days=1, high_rate=3000, low_rate=1200,
+                               attacks=(AttackSpec(700, 25, 10.0),), seed=7)
+        plain = io.StringIO()
+        write_events(plain, iter_events(profile))
+        quoted = io.StringIO()
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(
+            csv.reader(io.StringIO(plain.getvalue(), newline=""))
+        )
+        assert quoted.getvalue().count('"') == 10 * quoted.getvalue().count("\n")
+        records = list(parse_events(io.StringIO(quoted.getvalue(), newline="")))
+        assert records == list(parse_events(io.StringIO(plain.getvalue(), newline="")))
+        assert len(records) < plain.getvalue().count("\n") // 4
 
     def test_runs_are_counted_records(self):
         records = _outcome(parse_events, _block_edge_cases()["runs-cross-block-edges"])

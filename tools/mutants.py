@@ -43,7 +43,7 @@ _AGGREGATE_ORACLE = (
     "tests/test_detector.py::TestScoreAggregateOracle::test_every_field_matches_the_per_minute_oracle"
 )
 _ALL_ZERO_ORACLE = "tests/test_detector.py::TestAllZeroPatterns::test_fast_path_matches_search_and_predict"
-_COLD_START = "tests/test_predictor.py::TestColdStartDecision::"
+_COLD_START = "tests/test_detector.py::TestColdStartDecision::"
 _SILENT_AR = (
     "tests/test_baseline_ar.py::TestSilentHistories::"
     "test_negative_zero_minutes_flag_and_score_as_window_local"
@@ -287,13 +287,13 @@ MUTANTS = [
         ("tests/test_ingest.py::TestParseEvents::test_bad_timestamp",),
     ),
     Mutant(
-        "events-quoted-bad-row-is-numbered-from-the-chunk",
+        "events-quoted-field-ends-on-its-line",
         "ingest.py",
-        "lambda row: first + chunk.index(row)",
-        "lambda row: first + chunk.index(row) + 1",
+        "        if len(rows) <= end:\n",
+        "        if False:\n",
         (
-            "tests/test_ingest.py::TestCountedRuns::test_block_edge_case[quoted-then-bad-row]",
-            "tests/test_ingest.py::TestCountedRuns::test_bad_rows_in_later_blocks_are_named_as_by_rows",
+            "tests/test_ingest.py::TestCountedRuns::test_quoted_field_that_runs_on_is_named_at_its_line",
+            "tests/test_cli.py::TestExitCodes::test_quoted_field_that_runs_on_exits_2_naming_file_and_line",
         ),
     ),
     Mutant(
