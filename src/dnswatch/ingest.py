@@ -65,6 +65,24 @@ class GroundTruthInterval:
             raise ValueError("interval end before start")
 
 
+_RUNS_ON = "quoted field does not end on its line"
+
+
+def _first_failure(lines: Sequence[str]) -> tuple[int, str]:
+    """The index of the first of ``lines`` that ``csv`` rejects read alone,
+    and its error; when it rejects none, that of the first whose quoted field
+    does not end on its line, which read alone swallows the empty line read
+    after it.  Called only where ``csv`` failed on ``lines`` read together,
+    or one of their fields ran on, so one of them fails alone."""
+    for i, line in enumerate(lines):
+        try:
+            next(csv.reader([line]), None)
+        except csv.Error as exc:
+            return i, str(exc)
+    runs_on = next(i for i, line in enumerate(lines) if len(list(csv.reader([line, ""]))) < 2)
+    return runs_on, _RUNS_ON
+
+
 def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     """Yield one record per distinct line of each block, counting its copies.
 
@@ -73,9 +91,11 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     carries the count; records follow the order in which their lines first
     occur in the block.  No field holds a line break, so a row is one line.
     Raises :class:`ParseError` on the first bad line of the file, a quoted
-    field that does not end on its line among them, or, where ``csv`` itself
-    rejects a line (a field over its size limit), at the line it stopped on;
-    lines are numbered from the header, line 1.
+    field that does not end on its line among them.  Where ``csv`` itself
+    stops on a line (a field over its size limit), it names the first line
+    up to that one that ``csv`` rejects read alone; when there is none, a
+    quoted field ran on into that line, and it names the line the field
+    starts on.  Lines are numbered from the header, line 1.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -96,12 +116,12 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
         reader = csv.reader(keys)
         try:
             rows = list(reader)
-        except csv.Error as exc:
-            raise ParseError(f"line {first + block.index(keys[reader.line_num - 1])}: {exc}") from None
+        except csv.Error:
+            at, why = _first_failure(keys[: reader.line_num])
+            raise ParseError(f"line {first + block.index(keys[at])}: {why}") from None
         end = len(counts)  # the rows before the first that runs on
         if len(rows) <= end:
-            reader = csv.reader(keys)
-            end = next(i for i, _ in enumerate(reader) if reader.line_num > i + 1)
+            end = _first_failure(keys)[0]
             del rows[end:]
         # a bad row's first distinct line is the block's first bad line
         lineno = lambda row: first + block.index(keys[rows.index(row)])
@@ -142,7 +162,7 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
             # generated Python-level __new__ for every row
             yield new(DnsEventRecord, (ts, src, dst, direction, malformed == "1", count))
         if end < len(counts):
-            raise ParseError(f"line {first + block.index(keys[end])}: quoted field does not end on its line")
+            raise ParseError(f"line {first + block.index(keys[end])}: {_RUNS_ON}")
         first += len(block)
 
 

