@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from unittest import mock
 
@@ -158,6 +160,68 @@ def _scan_cases(draw):
     return text, pattern, Tolerance(alpha, beta), lo, hi
 
 
+def _fold(terms):
+    # the scan's left fold of a block's total error
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+@st.composite
+def _run_cases(draw):
+    """A text of long runs over at most 256 levels, a pattern that is flat
+    but for one outlier (a level, a value between levels, NaN or an
+    infinity), and a span of at least ``_SKIP_SPAN``.  Runs of minutes close
+    to every pattern value last ``m - 1``, ``m``, ``m + 1`` or several
+    blocks, and beta is drawn at ``m`` times the largest difference of a
+    pattern value and such a minute, just below it and just above it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="256 levels"):
+        levels = [v / 4 for v in range(256)]
+    else:
+        levels = sorted(set(draw(_LEVELS, label="levels")))
+    m = draw(st.sampled_from([1, 2, 3]) | st.integers(4, 30), label="m")
+    pattern = [draw(st.sampled_from(levels), label="flat")] * m
+    outlier = draw(st.none() | st.sampled_from(levels) | st.floats(0.0, 60.0)
+                   | st.sampled_from([math.nan, math.inf, -math.inf]), label="outlier")
+    if outlier is not None:
+        pattern[rng.randrange(m)] = outlier
+    a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
+    gaps = [abs(a - b), abs(pattern[0] - pattern[-1]), levels[-1] - levels[0]]
+    alpha = draw(st.sampled_from([g for g in gaps if not math.isnan(g)] + [0.5, math.inf]),
+                 label="alpha")
+    close = [v for v in levels if all(abs(v - p) <= alpha for p in pattern)]
+    n = draw(st.sampled_from([matching._SKIP_SPAN, 600, 1500, 3000]), label="n")
+    text = []
+    while len(text) < n:
+        r = rng.random()
+        if close and r < 0.5:
+            length = rng.choice([m - 1, m, m + 1, 2 * m, 3 * m + 1, rng.randint(1, 100)])
+            # The ends of the close levels give the largest terms.
+            value = rng.choice([close[0], close[-1], rng.choice(close)])
+            text.extend(value if rng.random() < 0.8 else rng.choice(close) for _ in range(length))
+        elif r < 0.7:
+            # A copy of the pattern, whose NaN or infinity a level replaces, so
+            # that the text keeps its codes.
+            text.extend(
+                p if math.isfinite(p) and rng.random() < 0.8 else rng.choice(levels) for p in pattern
+            )
+        else:
+            text.extend(rng.choice(levels) for _ in range(rng.randint(1, 10)))
+    text = text[:n]
+    if close and draw(st.booleans(), label="a run ends the text"):
+        length = rng.choice([m - 1, m, m + 1])
+        text = text[: n - length] + [rng.choice(close)] * length
+    text = tuple(text)
+    worst = max((abs(p - v) for p in pattern for v in close), default=1.0)
+    bound = worst * m
+    beta = draw(st.sampled_from([
+        bound, math.nextafter(bound, 0), math.nextafter(bound, math.inf),
+        _fold([worst] * m), bound / 2, 0.0, math.inf,
+    ]), label="beta")
+    lo = draw(st.integers(0, n - matching._SKIP_SPAN) | st.just(0), label="lo")
+    hi = draw(st.integers(lo + matching._SKIP_SPAN, n) | st.just(n), label="hi")
+    return text, pattern, Tolerance(alpha, beta), lo, hi
+
+
 class TestScan:
     @settings(max_examples=500)
     @given(case=_scan_cases(), skip_span=st.sampled_from([0, 1, matching._SKIP_SPAN]))
@@ -211,6 +275,9 @@ class TestScan:
             assert scan(index, [1.0], tol, 0, 1001) == [1000]
             assert scan(index, [1.0], tol, 2, 1002) == [1000, 1001]
         assert spy.call_count == 2
+        # No minute past the span completes a match that its last one starts.
+        assert reference_search(text[:1001], [1.0, 1.5], Tolerance(0.5, 1.0)) == []
+        assert scan(index, [1.0, 1.5], Tolerance(0.5, 1.0), 0, 1001) == []
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_candidates_follow_their_stepped_definition(self, alpha):
@@ -324,6 +391,73 @@ class TestScan:
             with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
                 assert scan(index, pattern, tol, 0, len(text)) == reference_search(text, pattern, tol)
             assert spy.called
+
+    @settings(max_examples=300)
+    @given(case=_run_cases())
+    def test_whole_blocks_match_the_stepped_scan(self, case):
+        text, pattern, tol, lo, hi = case
+        want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
+        runs, fits = matching._runs(RankIndex(text), pattern, tol, lo, hi)
+        event("no runs" if not any(runs) else "under the bound" if fits else "each block summed")
+        assert scan(RankIndex(text), pattern, tol, lo, hi) == want
+        assert scan(text, pattern, tol, lo, hi) == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, math.inf])
+    def test_runs_follow_their_stepped_definition(self, alpha):
+        # 1 where the minute is close to every pattern value; nothing for a
+        # pattern holding NaN or an infinity.  A block of such minutes said
+        # to fit has a total error within beta even if every term is the
+        # largest.
+        levels = (0.0, 0.5, 1.0, 2.0, 3.5)
+        text = tuple(itertools.chain.from_iterable(itertools.permutations(levels)))
+        index = RankIndex(text)
+        lo, hi = 3, len(text) - 2
+        values = levels + (math.nan, math.inf, -math.inf)
+        patterns = [list(p) for m in (1, 2, 3) for p in itertools.product(values, repeat=m)]
+        for pattern in patterns:
+            close = [x for x in text[lo:hi] if all(abs(x - p) <= alpha for p in pattern)]
+            worst = max((abs(p - x) for p in pattern for x in close), default=0.0)
+            for beta in (0.0, worst * len(pattern), _fold([worst] * len(pattern)), math.inf):
+                runs, fits = matching._runs(index, pattern, Tolerance(alpha, beta), lo, hi)
+                if not all(map(math.isfinite, pattern)):
+                    assert runs == b"", pattern
+                    continue
+                want = bytes(all(abs(x - p) <= alpha for p in pattern) for x in text[lo:hi])
+                assert (runs or bytes(hi - lo)) == want, pattern
+                if close:
+                    assert fits <= (_fold([worst] * len(pattern)) <= beta), (pattern, beta)
+                    assert fits >= (beta == math.inf), (pattern, beta)
+
+    def test_a_block_fits_only_within_the_rounded_bound(self):
+        # Each block of 0.2 is 0.1 from the flat pattern in every minute;
+        # folded, 24 terms of 0.1 give the double after 0.1 * 24.
+        text = ((0.2,) * 72 + (1.0,)) * 10
+        index = RankIndex(text)
+        pattern = [0.1] * 24
+        assert _fold([0.1] * 24) == math.nextafter(0.1 * 24, math.inf)
+        for beta, blocks in [(0.1 * 24, 0), (_fold([0.1] * 24), 30), (0.1, 0), (math.inf, 30)]:
+            tol = Tolerance(0.1, beta)
+            want = reference_search(text, pattern, tol)
+            assert len(want) == blocks
+            assert scan(index, pattern, tol, 0, len(text)) == want
+
+    def test_runs_are_built_once_at_the_first_full_match(self):
+        # Building the run string at every candidate costs more than the
+        # blocks it jumps in windows that never match.
+        rng = random.Random(8)
+        noise = [float(rng.choice([0, 1, 2, 3, 5, 8])) for _ in range(4000)]
+        pattern = noise[2000:2024]
+        text = tuple(noise[:2000] + pattern * 3 + noise[2000:])
+        index = RankIndex(text)
+        tol = Tolerance(1.0, 12.0)
+        with mock.patch.object(matching, "_runs", wraps=matching._runs) as spy:
+            # Candidates and partial matches, but no minute is close to 40.
+            for never in ([40.0] * 24, pattern[:12] + [40.0] * 12, pattern[:-1] + [40.0]):
+                assert scan(index, never, tol, 0, len(text)) == []
+            assert not spy.called
+            got = scan(index, pattern, tol, 0, len(text))
+            assert len(got) >= 3 and spy.call_count == 1
+        assert got == reference_search(text, pattern, tol)
 
     def test_infinite_levels_are_stepped(self):
         # inf - inf is NaN, which the scan never finds close although the inf

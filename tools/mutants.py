@@ -39,6 +39,9 @@ class Mutant(NamedTuple):
 
 _SCAN_EXACT = "tests/test_matching.py::TestScan::test_matches_the_stepped_scan_exactly"
 _SMALL_ALPHABETS = "tests/test_matching.py::TestScan::test_small_alphabets_match_the_stepped_scan"
+_WHOLE_BLOCKS = "tests/test_matching.py::TestScan::test_whole_blocks_match_the_stepped_scan"
+_RUNS_DEFINED = "tests/test_matching.py::TestScan::test_runs_follow_their_stepped_definition[{alpha}]"
+_ROUNDED_BOUND = "tests/test_matching.py::TestScan::test_a_block_fits_only_within_the_rounded_bound"
 _AGGREGATE_ORACLE = (
     "tests/test_detector.py::TestScoreAggregateOracle::test_every_field_matches_the_per_minute_oracle"
 )
@@ -74,8 +77,8 @@ MUTANTS = [
     Mutant(
         "candidate-reads-pattern-1",
         "matching.py",
-        "_marks(index, pattern[1], alpha)",
-        "_marks(index, pattern[0], alpha)",
+        "_marks(*index.code_range(pattern[1], alpha))",
+        "_marks(*index.code_range(pattern[0], alpha))",
         (
             "tests/test_matching.py::TestScan::test_candidates_follow_their_stepped_definition[0.0]",
             _SCAN_EXACT,
@@ -150,6 +153,48 @@ MUTANTS = [
             "tests/test_matching.py::TestScan::test_infinite_levels_are_stepped",
             "tests/test_matching.py::TestScan::test_nan_in_the_text_is_stepped",
         ),
+    ),
+    Mutant(
+        "runs-close-to-every-value",
+        "matching.py",
+        "first = index.code_range(top, tol.alpha)[0]",
+        "first = index.code_range(bottom, tol.alpha)[0]",
+        (_RUNS_DEFINED.format(alpha=1.0), _WHOLE_BLOCKS),
+    ),
+    Mutant(
+        "runs-only-for-finite-patterns",
+        "matching.py",
+        "    if not all(map(isfinite, pattern)):\n        return b\"\", False",
+        "    if False:\n        return b\"\", False",
+        (_RUNS_DEFINED.format(alpha=0.5),),
+    ),
+    Mutant(
+        "block-bound-counts-every-term",
+        "matching.py",
+        "fits = worst * m * (1.0 + m * 2.0**-51) <= tol.beta",
+        "fits = worst * (1.0 + m * 2.0**-51) <= tol.beta",
+        (_ROUNDED_BOUND, _WHOLE_BLOCKS),
+    ),
+    Mutant(
+        "block-bound-keeps-its-margin",
+        "matching.py",
+        "fits = worst * m * (1.0 + m * 2.0**-51) <= tol.beta",
+        "fits = worst * m <= tol.beta",
+        (_ROUNDED_BOUND,),
+    ),
+    Mutant(
+        "each-block-within-beta",
+        "matching.py",
+        "values[s : s + m])), 0.0) <= beta",
+        "values[s : s + m])), 0.0) < beta",
+        (_ROUNDED_BOUND, _WHOLE_BLOCKS),
+    ),
+    Mutant(
+        "jump-whole-blocks-only",
+        "matching.py",
+        "i += n * m\n",
+        "i += n * m + 1\n",
+        (_WHOLE_BLOCKS,),
     ),
     # detector
     Mutant(
