@@ -108,12 +108,17 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
 # alone takes about 0.3 s, and the slowest mix of them measured 0.86 s from
 # the command line.  _POWER_BITS bounds the bit lengths of the ratio's
 # denominator, 10**((d - 1) * k), and of its numerator.  _SQUARED_BITS bounds
-# the costs that grow as the product of two bit lengths: the sum of the
-# squares of a mode's binomials (math.comb's time grows about as the square of
-# its result's size), and the numerator's times the denominator's (Fraction's
-# gcd of the two).
+# the costs that grow about as the product of two bit lengths: the square of
+# the lower mode's binomial, the sum over the inclusion-exclusion terms of
+# their binomials' bit lengths to the power _COMB_EXPONENT, and the
+# numerator's bit length times the denominator's (Fraction's gcd of the two).
+# math.comb's time grows about as the square of its result's size for the
+# lower mode's one binomial of up to 2**18 bits, but only about as its 1.85th
+# power over the terms of a few thousand bits each that inclusion-exclusion
+# sums.
 _POWER_BITS = 2**22
 _SQUARED_BITS = 2**36
+_COMB_EXPONENT = 1.85
 
 
 def _comb_bits(n: int, r: int) -> int:
@@ -137,15 +142,19 @@ def _check_sizes(params: ColdStartParams, mode: str) -> None:
         if k < shifts:  # choice_count_lower returns 0 at once
             return
         combs = _comb_bits(k, shifts)
-        squares = combs**2
+        cost = combs**2
+        what = "the squared bit lengths of the binomials of lower"
         num = combs + shifts * (2 * alpha + 1).bit_length() + alpha.bit_length()
     else:
         terms = max(0, min(k, (beta - 1) // alpha) + 1)
         # comb(beta - i*alpha - 1, k - 1) is largest at i = 0, and it bounds
         # the count of compositions, the sum
         num = _comb_bits(beta - 1, k - 1)
-        squares = terms * (_comb_bits(k, min(terms - 1, k // 2)) + num) ** 2
-    _check(squares, _SQUARED_BITS, flags, f"the squared bit lengths of the binomials of {mode}")
+        bits = _comb_bits(k, min(terms - 1, k // 2)) + num
+        # Capped so that the float stays finite; either cap alone passes the limit.
+        cost = int(min(terms, 2**64) * min(bits, 2**64) ** _COMB_EXPONENT)
+        what = f"the binomials of inclusion_exclusion, as bit lengths to the power {_COMB_EXPONENT}"
+    _check(cost, _SQUARED_BITS, flags, what)
     num += l.bit_length()
     _check(num, _POWER_BITS, "--l, --k, --alpha and --beta", "the bit length of the numerator")
     flags = "--l, --k, --d, --alpha and --beta"

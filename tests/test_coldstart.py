@@ -154,6 +154,25 @@ class TestParams:
         with pytest.raises(ValueError, match="binomials of inclusion_exclusion"):
             expected_matches(params, "inclusion_exclusion")
 
+    def test_inclusion_exclusion_of_a_thousand_letters_is_answered(self):
+        # 1,001 terms of about 9,000 bits each: about 0.3 s, under the limit
+        # at math.comb's cost exponent of 1.85, where the square rejected it.
+        # No 1,000 parts of at most 5 sum to 10,000, so the terms cancel.
+        params = ColdStartParams(l=1010, k=1000, d=5, alpha=5, beta=10000)
+        assert expected_matches(params, "inclusion_exclusion") == 0
+        # Only parts of 10 each sum to 10,000, once in each of 11 alignments.
+        params = ColdStartParams(l=1010, k=1000, d=1, alpha=10, beta=10000)
+        assert expected_matches(params, "inclusion_exclusion") == 11
+
+    @pytest.mark.parametrize("l, k, d, alpha, beta", [
+        (2005, 2000, 1, 2, 8009),  # 1.2 s to build on a 2-core VM
+        (2038, 2000, 2, 2, 8006),  # 1.2 s
+    ])
+    def test_inclusion_exclusion_that_takes_over_a_second_is_rejected(self, l, k, d, alpha, beta):
+        params = ColdStartParams(l, k, d, alpha, beta)
+        with pytest.raises(ValueError, match="binomials of inclusion_exclusion"):
+            expected_matches(params, "inclusion_exclusion")
+
     def test_what_answers_at_once_is_accepted(self):
         # 10**99990 takes a few milliseconds
         params = ColdStartParams(l=100, k=10, d=10**4, alpha=1, beta=2)

@@ -422,21 +422,23 @@ class TestRankIndexOwner:
             made.append(RankIndex(text))
             return made[-1]
 
+        # Every indexed scan of a long span first asks the index whether a
+        # pattern tail ends in it; in this noise none does.
         with mock.patch.object(detector, "RankIndex", index_of), mock.patch.object(
-            matching, "_candidates", wraps=matching._candidates
-        ) as candidates:
+            matching, "_tail_ends", wraps=matching._tail_ends
+        ) as tails:
             _predict_asm(values, cfg, windows)
         assert len(made) == 1 and made[0].values is values
-        return made[0], candidates
+        return made[0], tails
 
     def test_long_histories_skip_through_the_series_index(self):
-        index, candidates = self._run(1440)
-        assert candidates.call_count > 0
-        assert all(call.args[0] is index for call in candidates.call_args_list)
+        index, tails = self._run(1440)
+        assert tails.call_count > 0
+        assert all(call.args[0] is index for call in tails.call_args_list)
 
     def test_short_histories_build_no_codes(self):
-        index, candidates = self._run(58)
-        assert candidates.call_count == 0
+        index, tails = self._run(58)
+        assert tails.call_count == 0
         assert "codes" not in vars(index) and "levels" not in vars(index)
 
 

@@ -222,6 +222,65 @@ def _run_cases(draw):
     return text, pattern, Tolerance(alpha, beta), lo, hi
 
 
+def _tail(pattern, alpha):
+    # how many of the pattern's last values a full match must end on
+    return len(pattern) - max(prefix_function(pattern, alpha))
+
+
+@st.composite
+def _tail_cases(draw):
+    """A text over at most 12 levels stitched from copies of the pattern,
+    many with one value swapped for a level not close to it, most often one
+    of the last values that a full match must end on; at times a whole copy
+    ends the span, and at times it is the only one.  The pattern has ``m``
+    of 1, 2, 3 or 24 values and repeats a period of ``p``, so that
+    ``max(pi)`` runs from 0 to ``m - 1``, with NaN, an infinity or a value
+    between levels in it at times.  Alpha is at, just below or just above
+    the level gap (every level follows the span), and the span is
+    ``_SKIP_SPAN`` minus one, ``_SKIP_SPAN``, one more, or longer."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = sorted(set(draw(_LEVELS, label="levels")))
+    m = draw(st.sampled_from([1, 2, 3, 24]), label="m")
+    period = draw(st.sampled_from([1, m]) | st.integers(1, m), label="period")
+    base = rng.sample(levels, period) if period <= len(levels) else rng.choices(levels, k=period)
+    pattern = (base * m)[:m]
+    odd = draw(st.none() | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(0.0, 60.0),
+               label="a value that is no level")
+    if odd is not None:
+        pattern[m - 1 - min(rng.randrange(m), rng.randrange(m))] = odd
+    gap = RankIndex(levels).gap
+    a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
+    alpha = draw(st.sampled_from([0.0, gap, math.nextafter(gap, 0), math.nextafter(gap, math.inf),
+                                  abs(a - b), math.inf]), label="alpha")
+    beta = draw(st.sampled_from([0.0, alpha * m / 2, 1e12, math.inf]), label="beta")
+    finite = [p if math.isfinite(p) else rng.choice(levels) for p in pattern]
+    span = draw(st.sampled_from([matching._SKIP_SPAN, matching._SKIP_SPAN - 1,
+                                 matching._SKIP_SPAN + 1, 1200]), label="span")
+    lo = draw(st.integers(0, 20), label="lo")
+    whole = draw(st.booleans(), label="whole copies before the span's end")
+    text = []
+    while len(text) < lo + span:
+        r = rng.random()
+        copy = list(finite)
+        if r < 0.5 or (r < 0.6 and not whole):
+            # A near miss: one value swapped, most often near the end.
+            q = m - 1 - min(rng.randrange(m), rng.randrange(m))
+            far = [v for v in levels if not abs(v - copy[q]) <= alpha]
+            copy[q] = rng.choice(far or levels)
+            text.extend(copy)
+        elif r < 0.6:
+            text.extend(copy)
+        elif r < 0.8:
+            text.extend(copy[: rng.randint(1, m)])
+        else:
+            text.extend(rng.choice(levels) for _ in range(rng.randint(1, 10)))
+    text = text[: lo + span]
+    if draw(st.booleans(), label="a whole copy ends the span"):
+        text[lo + span - m :] = finite
+    text = tuple(text + levels)
+    return text, pattern, Tolerance(alpha, beta), lo, lo + span
+
+
 class TestScan:
     @settings(max_examples=500)
     @given(case=_scan_cases(), skip_span=st.sampled_from([0, 1, matching._SKIP_SPAN]))
@@ -309,6 +368,87 @@ class TestScan:
                     text[lo:hi],
                 )
 
+    @settings(max_examples=400)
+    @given(case=_tail_cases())
+    def test_tails_match_the_stepped_scan(self, case):
+        text, pattern, tol, lo, hi = case
+        want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
+        index = RankIndex(text)
+        tail = _tail(pattern, tol.alpha)
+        event(f"max(pi) {'0' if tail == len(pattern) else 'm - 1' if tail == 1 else 'between'}")
+        if hi - lo >= matching._SKIP_SPAN and index.codes is not None:
+            ends = matching._tail_ends(index, pattern, tol.alpha, tail, lo, hi)
+            event("a tail ends in the span" if ends else "no tail ends in the span")
+        assert scan(index, pattern, tol, lo, hi) == want
+        assert scan(text, pattern, tol, lo, hi) == want
+
+    @settings(max_examples=200)
+    @given(case=_tail_cases())
+    def test_every_full_match_ends_on_its_tail(self, case):
+        # With beta = inf every full match of the stepped scan is a start,
+        # and each ends on m - max(pi) elements close to the pattern's last
+        # values.  (A text holding NaN or an infinity gets no codes and is
+        # never certified: there an element whose difference is NaN leaves
+        # the state where it stood.)
+        text, pattern, tol, lo, hi = case
+        m, tail = len(pattern), _tail(pattern, tol.alpha)
+        for beta in (tol.beta, math.inf):
+            for s in scan(text, pattern, Tolerance(tol.alpha, beta), lo, hi):
+                assert all(
+                    abs(text[s + m - 1 - r] - pattern[m - 1 - r]) <= tol.alpha for r in range(tail)
+                ), (s, tail)
+
+    def test_a_full_match_need_not_end_on_more_than_its_tail(self):
+        # pi is [0, 1, 2, 0] at alpha 1, so a match ends on 2 close elements.
+        # Here 3 matches pattern[2] at state 2 and fails pattern[3] at state 3,
+        # falling back to state 2, so the match starts on a 3 that is not
+        # close to pattern[1]: a certificate of 3 elements would miss it.
+        pattern = [0.0, 1.0, 2.0, 5.0]
+        text = (20.0,) * 600 + (0.0, 1.0, 3.0, 3.0, 5.0) + (20.0,) * 5
+        tol = Tolerance(1.0, 4.0)
+        assert _tail(pattern, tol.alpha) == 2 and RankIndex(text).gap <= tol.alpha
+        want = reference_search(text, pattern, tol)
+        assert want == [601] and abs(text[602] - pattern[1]) > tol.alpha
+        assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
+
+    def test_a_window_no_tail_can_end_builds_no_candidates_and_steps_nothing(self):
+        # The pattern's last three values are close to much of the noise, but
+        # the minute three before each such run is never close to 10, and
+        # the 10s planted as candidates are followed by 1 and then by 5, not
+        # by a minute close to 2.  A scan reads no value of a text it steps
+        # nothing in.
+        class Unread(tuple):
+            def __getitem__(self, key):
+                raise AssertionError(f"the scan read values[{key!r}]")
+
+        rng = random.Random(12)
+        noise = []
+        while len(noise) < 3000:
+            noise.extend([10.0, 1.0, 5.0] if rng.random() < 0.05 else [float(rng.randint(0, 4))])
+        text = Unread(noise)
+        index = RankIndex(text)
+        tol = Tolerance(1.0, 10.0)
+        for pattern in ([10.0, 1.0, 2.0, 3.0], [10.0, 1.0, 2.0, math.nan], [1.0, 2.0, -math.inf]):
+            with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
+                assert scan(index, pattern, tol, 0, len(text)) == []
+            assert not spy.called, pattern
+            assert reference_search(tuple(text), pattern, tol) == []
+        # The same text and pattern stepped: 10, 1 are candidates.
+        assert matching._candidates(index, [10.0, 1.0, 2.0, 3.0], 1.0, 0, len(text)).count(1) > 50
+
+    @pytest.mark.parametrize("n_levels, n", [(1, 600), (2, 601), (37, 607), (256, 608)])
+    def test_at_most_sets_a_bit_for_each_code_at_most_r(self, n_levels, n):
+        rng = random.Random(n)
+        levels = [float(v) for v in rng.sample(range(1000), n_levels)]
+        text = tuple(levels + [rng.choice(levels) for _ in range(n - n_levels)])
+        index = RankIndex(text)
+        for r in range(n_levels):
+            bits = index.at_most(r)
+            assert len(bits) == (n + 7) // 8
+            got = [bits[k // 8] >> (7 - k % 8) & 1 for k in range(8 * len(bits))]
+            assert got == [int(c <= r) for c in index.codes] + [0] * (-n % 8), r
+            assert index.at_most(r) is bits  # built once
+
     @pytest.mark.parametrize("n_levels", [1, 2, 37, 200, 256])
     def test_codes_are_the_ranks_of_at_most_256_levels(self, n_levels):
         rng = random.Random(n_levels)
@@ -386,9 +526,11 @@ class TestScan:
     def test_pattern_value_that_is_no_level_is_stepped(self):
         text = tuple(float(v) for v in [0, 1, 2, 4] * 200)
         index = RankIndex(text)
+        # The exact path builds no prefix table; the candidate path builds it
+        # even where no tail can end a match and no candidate is built.
         for pattern in ([1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [1.5]):
             tol = Tolerance(0.5, 10.0)
-            with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
+            with mock.patch.object(matching, "prefix_function", wraps=matching.prefix_function) as spy:
                 assert scan(index, pattern, tol, 0, len(text)) == reference_search(text, pattern, tol)
             assert spy.called
 

@@ -41,6 +41,7 @@ _SCAN_EXACT = "tests/test_matching.py::TestScan::test_matches_the_stepped_scan_e
 _SMALL_ALPHABETS = "tests/test_matching.py::TestScan::test_small_alphabets_match_the_stepped_scan"
 _WHOLE_BLOCKS = "tests/test_matching.py::TestScan::test_whole_blocks_match_the_stepped_scan"
 _RUNS_DEFINED = "tests/test_matching.py::TestScan::test_runs_follow_their_stepped_definition[{alpha}]"
+_TAILS = "tests/test_matching.py::TestScan::test_tails_match_the_stepped_scan"
 _ROUNDED_BOUND = "tests/test_matching.py::TestScan::test_a_block_fits_only_within_the_rounded_bound"
 _AGGREGATE_ORACLE = (
     "tests/test_detector.py::TestScoreAggregateOracle::test_every_field_matches_the_per_minute_oracle"
@@ -92,18 +93,41 @@ MUTANTS = [
         (_SMALL_ALPHABETS, _SCAN_EXACT),
     ),
     Mutant(
-        "exit-only-when-pi-1-is-0",
+        "tail-no-longer-than-m-minus-max-pi",
         "matching.py",
-        "if m >= 3 and pi[1] == 0:",
-        "if m >= 3 and pi[1] <= 1:",
-        (_SMALL_ALPHABETS, _SCAN_EXACT),
+        "m - max(pi), lo, hi)",
+        "m - max(pi) + 1, lo, hi)",
+        (
+            "tests/test_matching.py::TestScan::test_a_full_match_need_not_end_on_more_than_its_tail",
+            _TAILS,
+        ),
     ),
     Mutant(
-        "exit-string-for-every-pattern",
+        "tail-no-shorter-than-m-minus-max-pi",
         "matching.py",
-        "if m >= 3 and pi[1] == 0:",
-        "if m >= 3:",
-        (_SMALL_ALPHABETS, _SCAN_EXACT),
+        "m - max(pi), lo, hi)",
+        "m - max(pi) - 1, lo, hi)",
+        (
+            "tests/test_matching.py::TestScan::"
+            "test_a_window_no_tail_can_end_builds_no_candidates_and_steps_nothing",
+        ),
+    ),
+    Mutant(
+        "tail-element-r-shifted-by-r",
+        "matching.py",
+        "ends &= close >> r",
+        "ends &= close >> (r + 1)",
+        (
+            "tests/test_matching.py::TestScan::test_candidate_that_ends_the_span_is_stepped",
+            _TAILS,
+        ),
+    ),
+    Mutant(
+        "tail-close-from-the-first-rank-on",
+        "matching.py",
+        "index.at_most(first - 1)",
+        "index.at_most(first)",
+        (_TAILS, _SCAN_EXACT),
     ),
     Mutant(
         "step-slice-clamped-to-the-span",
