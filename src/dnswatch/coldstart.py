@@ -15,8 +15,11 @@ build are rejected before any of them is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ def expected_matches(params: ColdStartParams, mode: str = "lower") -> Fraction:
     ``10**-(d-1)`` per aligned position.  That exponent convention is fixed
     by the reference arithmetic this estimate reproduces.
     """
+    # imported here, so that only expect loads fractions (and decimal)
+    from fractions import Fraction
+
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     _check_sizes(params, mode)

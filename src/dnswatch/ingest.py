@@ -4,7 +4,8 @@ open stream, and the aggregation of events into minute series:
 * events CSV: :func:`parse_events` and :func:`write_events`;
 * ground-truth CSV: :func:`parse_ground_truth` and :func:`write_ground_truth`;
 * series CSV: :func:`read_series` and :func:`write_series`, in the file that
-  :func:`series_filename` names and :func:`series_key` reads back;
+  :func:`series_filename` names and :func:`series_key` reads back; rows are
+  written, and checked on read, a block at a time with one row template;
 * report JSON: :func:`read_report` and :func:`write_report`;
 * per-window flags CSV: :func:`write_windows`; nothing reads it back.
 
@@ -28,12 +29,14 @@ from .model import FeatureKind, MinuteSeries, SeriesKey
 EVENTS_HEADER = ["ts_epoch_s", "src_ip", "dst_ip", "direction", "malformed"]
 TRUTH_HEADER = ["start_minute", "end_minute", "label"]
 SERIES_HEADER = "minute,value"
+# A series row, as write_series writes it and _exact_rows checks it.
+_ROW = "%d,%s\n"
 
 _DIRECTIONS = ("tx", "rx")
 # Every series is zero-filled over the span of the whole record set, so one
 # stray timestamp years away would cost a float per minute per series.
 MAX_SPAN_MINUTES = 366 * 1440
-# Lines each reader takes, and the events writer writes, at a time.  Far
+# Lines each reader takes, and each writer writes, at a time.  Far
 # larger blocks merge few more repeats, since gen writes each run in one
 # place, but slow down an events file whose lines are all distinct.
 _BLOCK_LINES = 1024
@@ -240,8 +243,18 @@ def series_key(name: str) -> SeriesKey:
 
 
 def write_series(stream: IO[str], series: MinuteSeries) -> None:
+    """The header, then each block of ``_BLOCK_LINES`` rows formatted with
+    one ``%`` of ``_ROW`` and written at once.  ``%s`` of a float is its
+    ``repr``, so a row is ``f"{minute},{value!r}"`` and a line end."""
     stream.write(f"{SERIES_HEADER}\n")
-    stream.writelines(f"{m},{v!r}\n" for m, v in enumerate(series.values, series.start_minute))
+    values, start = series.values, series.start_minute
+    for at in range(0, len(values), _BLOCK_LINES):
+        block = values[at : at + _BLOCK_LINES]
+        n = len(block)
+        fields: list[object] = [None] * (2 * n)
+        fields[::2] = range(start + at, start + at + n)
+        fields[1::2] = block
+        stream.write(_ROW * n % tuple(fields))
 
 
 def read_series(stream: IO[str]) -> MinuteSeries:
@@ -310,7 +323,7 @@ def _exact_rows(block: list[str], first: Optional[int]) -> Optional[tuple[int, l
     try:
         first = int(fields[0]) if first is None else first
         fields[::2] = range(first, first + n)
-        if "%d,%s\n" * n % tuple(fields) != text:
+        if _ROW * n % tuple(fields) != text:
             return None
         return first, list(map(float, values))
     except ValueError:  # the line-by-line read names the row

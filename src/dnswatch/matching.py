@@ -51,12 +51,12 @@ its close elements, with one ``bytes.translate``.
   from it the state climbs from some ``q <= max(pi)`` to ``m`` one element
   at a time (from 0 if there is none since the last reset or the span's
   start).  So ``x[i - r]`` is close to ``P[m - 1 - r]`` for every ``r < L``.
-  The index keeps, for each rank ``r`` a scan asks about, a bit per element
-  set where the code is at most ``r``; the elements close to ``P[q]`` are
-  one of those bitsets less a smaller one, sliced to the span's bytes.
-  Shifted by ``r`` and ANDed over ``r < L`` (a Shift-And test of the aligned
-  suffix, after Baeza-Yates and Gonnet), they leave the possible ends in
-  ``[lo + L - 1, hi)``.  None means no full match, so the scan returns
+  The index keeps, for the last ranks ``r`` the scans asked about, a bit
+  per element set where the code is at most ``r``; the elements close to
+  ``P[q]`` are one of those bitsets less a smaller one, sliced to the span's
+  bytes.  Shifted by ``r`` and ANDed over ``r < L`` (a Shift-And test of the
+  aligned suffix, after Baeza-Yates and Gonnet), they leave the possible
+  ends in ``[lo + L - 1, hi)``.  None means no full match, so the scan returns
   ``[]``; the exact path and the block jump return what stepping returns, so
   they agree.  A NaN pattern value, or an infinite one below
   ``alpha = inf``, is close to nothing and certifies at once.  In the
@@ -181,6 +181,14 @@ def total_error(pattern: Sequence[float], text: Sequence[float], offs: int) -> f
     return total
 
 
+# The bitsets a RankIndex keeps, each of a bit per element.  _tail_ends
+# reads at most two per value of a window's tail, and the tail is at most
+# the pattern, 24 minutes at the default k.  The tails of nearby windows
+# share ranks: at 64, the ten-day series of up to 164 levels rebuilt so
+# many that _predict_asm at lookback 1440 took half as long again.
+_AT_MOST_KEPT = 128
+
+
 class RankIndex:
     """A sequence of values, also written as one byte per element.
 
@@ -193,12 +201,13 @@ class RankIndex:
     neither advances the scan's state nor lets it fall back, so no mark can
     stand for it.  All are built on first use, and so is each bitset of
     :meth:`at_most`, so a sequence that is only ever scanned over short
-    spans never pays for them.
+    spans never pays for them.  Only the ``_AT_MOST_KEPT`` bitsets used
+    last are kept.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
         self.values = values
-        self._at_most: dict[int, bytes] = {}
+        self._at_most: dict[int, bytes] = {}  # the least recently used first
 
     @cached_property
     def levels(self) -> list[float]:
@@ -230,14 +239,18 @@ class RankIndex:
     def at_most(self, r: int) -> bytes:
         """A bit per element, set where its code is at most ``r``, packed
         eight to a byte with element 0 in the first byte's top bit; built on
-        first use for each rank."""
-        bits = self._at_most.get(r)
+        first use for each rank, and again once it has been evicted."""
+        kept = self._at_most
+        bits = kept.pop(r, None)  # reinserted below, as the newest
         if bits is None:
             table = b"1" * (r + 1) + b"0" * (255 - r)
             n = len(self.codes)
             # int() reads the ASCII digits as one base-2 number, element 0 first.
             packed = int(self.codes.translate(table), 2) << (-n % 8)
-            bits = self._at_most[r] = packed.to_bytes((n + 7) // 8, "big")
+            bits = packed.to_bytes((n + 7) // 8, "big")
+            if len(kept) >= _AT_MOST_KEPT:
+                del kept[next(iter(kept))]  # the least recently used
+        kept[r] = bits
         return bits
 
 

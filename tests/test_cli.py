@@ -1007,14 +1007,15 @@ def _traced_names():
 
 
 # Runs the labelled commands in one fresh interpreter and reports, after the
-# import and after each command, whether numpy has been loaded.
-_NUMPY_PROBE = """
+# import and after each command, which of numpy and fractions are loaded.
+_IMPORT_PROBE = """
 import json, sys
 import dnswatch.cli
-seen = {"import": "numpy" in sys.modules}
+loaded = lambda: [m for m in ("numpy", "fractions") if m in sys.modules]
+seen = {"import": loaded()}
 for label, argv in json.loads(sys.argv[1]).items():
     assert dnswatch.cli.main(argv) == 0, label
-    seen[label] = "numpy" in sys.modules
+    seen[label] = loaded()
 print(json.dumps(seen))
 """
 
@@ -1063,17 +1064,23 @@ class TestImports:
             "detect-asm": detect + ["--method", "asm"],
             "eval": ["eval", "--report", report, "--truth", str(truth)],
             "detect-ar": detect + ["--method", "ar"],
+            "gen": ["gen", "--days", "1", "--high-rate", "600", "--low-rate", "300",
+                    "--out-events", str(tmp_path / "gen.csv"), "--out-truth", str(tmp_path / "gen_truth.csv")],
+            # only expect computes with exact rationals
+            "expect": ["expect", "--l", "100", "--k", "5", "--d", "2", "--alpha", "1", "--beta", "3"],
         }
         out = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps)],
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout.splitlines()[-1]) == {
-            "import": False,
-            "ingest": False,
-            "detect-asm": False,
-            "eval": False,
-            # the probe does see numpy once a command loads it
-            "detect-ar": True,
+            "import": [],
+            "ingest": [],
+            "detect-asm": [],
+            "eval": [],
+            # the probe does see a module once a command loads it
+            "detect-ar": ["numpy"],
+            "gen": ["numpy"],
+            "expect": ["numpy", "fractions"],
         }

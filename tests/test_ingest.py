@@ -14,6 +14,7 @@ from dnswatch.detector import AnomalyEvent, WindowFlag
 from dnswatch.ingest import (
     EVENTS_HEADER as EVENTS_FIELDS,
     _BLOCK_LINES,
+    _exact_rows,
     DnsEventRecord,
     GroundTruthInterval,
     MAX_SPAN_MINUTES,
@@ -491,10 +492,28 @@ _EDGE_VALUES = [-0.0, 0.0, 2.0**53 - 1, 0.1, 1e-300, 5e-324, 1.5, 7.0]
 _values = st.sampled_from(_EDGE_VALUES) | st.floats(0, 2.0**53, exclude_max=True)
 
 
-def _series_round_trip(series):
+def _written(series):
     buf = io.StringIO()
     write_series(buf, series)
-    return read_series(io.StringIO(buf.getvalue()))
+    return buf.getvalue()
+
+
+def _series_round_trip(series):
+    return read_series(io.StringIO(_written(series)))
+
+
+@st.composite
+def _block_series(draw):
+    """A series one row long, or one row either side of a whole number of
+    blocks, of edge values and others, from a start minute that may be
+    negative and whose rows may cross minute 0."""
+    n = draw(st.sampled_from([1, _BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1, 2 * _BLOCK_LINES + 1]))
+    start = draw(st.sampled_from([-_BLOCK_LINES - 1, -1]) | st.integers(-(10**12), 10**12))
+    palette = _EDGE_VALUES + draw(st.lists(_values, min_size=1, max_size=8))
+    # a seeded generator, not st.randoms(), so that shrinking a failure need
+    # not shrink thousands of draws
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return MinuteSeries(start, tuple(rng.choice(palette) for _ in range(n)))
 
 
 class TestSeriesFormat:
@@ -515,6 +534,24 @@ class TestSeriesFormat:
         got = _series_round_trip(series)
         assert got.start_minute == series.start_minute
         assert list(map(repr, got.values)) == list(map(repr, series.values))
+
+    @given(_block_series())
+    def test_rows_are_the_bytes_of_one_row_at_a_time(self, series):
+        # the writer's former form, a formatted string per row, as the oracle
+        rows = (f"{m},{v!r}\n" for m, v in enumerate(series.values, series.start_minute))
+        assert _written(series) == "minute,value\n" + "".join(rows)
+
+    @given(_block_series())
+    def test_the_block_read_accepts_every_block_the_writer_emits(self, series):
+        # so that reading a series ingest wrote never falls back to the
+        # line-by-line read
+        lines = _written(series).splitlines(keepends=True)[1:]
+        for at in range(0, len(lines), _BLOCK_LINES):
+            first = series.start_minute + at
+            got = _exact_rows(lines[at : at + _BLOCK_LINES], first if at else None)
+            assert got is not None, at
+            assert got[0] == first
+            assert list(map(repr, got[1])) == list(map(repr, series.values[at : at + _BLOCK_LINES]))
 
     def test_rows_are_minute_and_value_repr(self):
         buf = io.StringIO()

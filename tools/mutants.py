@@ -362,7 +362,7 @@ MUTANTS = [
     Mutant(
         "series-rows-hold-one-comma",
         "ingest.py",
-        '"%d,%s\\n" * n % tuple(fields) != text',
+        "_ROW * n % tuple(fields) != text",
         '"%d\\n%s\\n" * n % tuple(fields) != text.replace(",", "\\n")',
         (
             "tests/test_cli.py::TestSeriesLoader::test_row_without_a_comma_before_a_row_with_two_is_named",
@@ -375,6 +375,16 @@ MUTANTS = [
         "",
         (
             "tests/test_cli.py::TestSeriesLoader::test_bad_row_in_the_second_block_is_named_by_its_line_number",
+        ),
+    ),
+    Mutant(
+        "series-writer-blocks-continue-the-minutes",
+        "ingest.py",
+        "fields[::2] = range(start + at, start + at + n)",
+        "fields[::2] = range(start, start + n)",
+        (
+            "tests/test_ingest.py::TestSeriesFormat::test_rows_are_the_bytes_of_one_row_at_a_time",
+            "tests/test_ingest.py::TestSeriesFormat::test_a_series_of_many_blocks_round_trips",
         ),
     ),
     Mutant(
