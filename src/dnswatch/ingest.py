@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import islice
 from pathlib import PurePath
@@ -24,7 +25,7 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequen
 from urllib.parse import quote, unquote
 
 from .detector import AnomalyEvent, WindowFlag
-from .model import FeatureKind, MinuteSeries, SeriesKey
+from .model import MAX_COUNT, FeatureKind, MinuteSeries, SeriesKey
 
 EVENTS_HEADER = ["ts_epoch_s", "src_ip", "dst_ip", "direction", "malformed"]
 TRUTH_HEADER = ["start_minute", "end_minute", "label"]
@@ -266,14 +267,17 @@ def read_series(stream: IO[str]) -> MinuteSeries:
     them, with the minutes going on from the rows before it, is converted at
     once.  Any other block is read line by line, which skips blank lines,
     ignores whitespace around a field and names a row that does not parse by
-    its line number.
+    its line number.  Once every row has parsed, the first row whose minute
+    does not follow the one before it is named, and then the first row whose
+    count :class:`MinuteSeries` rejects.
     """
     header = stream.readline().strip()
     if header != SERIES_HEADER:
         raise ParseError(f"bad series header {header!r}")
     start: Optional[int] = None
     values: list[float] = []
-    contiguous = True
+    blanks: list[int] = []  # the number of values read before each blank line
+    gap: Optional[int] = None  # the line of the first minute out of place
     lineno = 2  # of the block's first line
     for block in iter(lambda: list(islice(stream, _BLOCK_LINES)), []):
         exact = _exact_rows(block, None if start is None else start + len(values))
@@ -286,6 +290,7 @@ def read_series(stream: IO[str]) -> MinuteSeries:
             for i, line in enumerate(block, start=lineno):
                 line = line.strip()
                 if not line:
+                    blanks.append(len(values))
                     continue
                 m_raw, _, v_raw = line.partition(",")
                 try:
@@ -295,15 +300,22 @@ def read_series(stream: IO[str]) -> MinuteSeries:
                     raise ParseError(f"line {i}: bad row {line!r}") from None
                 if start is None:
                     start = minute
-                elif minute != start + len(values):
-                    contiguous = False
+                elif minute != start + len(values) and gap is None:
+                    gap = i
                 values.append(value)
         lineno += len(block)
     if start is None:
         raise ParseError("empty series")
-    if not contiguous:
-        raise ParseError("minutes are not contiguous")
-    return MinuteSeries(start, tuple(values))
+    if gap is not None:
+        raise ParseError(f"line {gap}: minutes are not contiguous")
+    try:
+        return MinuteSeries(start, tuple(values))
+    except ValueError as exc:
+        # Looked for only now, so that a valid file pays nothing for its line.
+        k = next(k for k, v in enumerate(values) if not 0.0 <= v < MAX_COUNT)
+        # After the header, each line before value k's holds a value or is blank.
+        line = 2 + k + bisect_right(blanks, k)
+        raise ParseError(f"line {line}: {exc}, got {values[k]!r}") from None
 
 
 def _exact_rows(block: list[str], first: Optional[int]) -> Optional[tuple[int, list[float]]]:

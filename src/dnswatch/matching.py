@@ -29,19 +29,11 @@ ranks; two bisections over the levels find it, and a 256-byte table that
 marks those ranks 1 turns the span's bytes into its marks, which are exactly
 its close elements, with one ``bytes.translate``.
 
-* **Candidates.**  The marks of ``P[0]`` and those of ``P[1]`` shifted back
-  by one, with a 1 for the span's last element (every element, for a
-  pattern of one), are ANDed as two big integers into the candidate
-  string: 1 where an element close to ``P[0]`` is followed by one close to
-  ``P[1]`` or ends the span.  ``bytes.find`` (a memchr) finds the next one.
-  The lookahead is exact because ``pi[0] == 0``: state 1 failing at
-  ``P[1]`` falls back to state 0 and compares that same element with
-  ``P[0]``, just as a scan that never left state 0 would.  From each
-  candidate the KMP steps, prefix-table fallbacks and beta check run as
-  they always did until the state is back at 0.
-* **Skip to state 2.**  For ``m >= 3`` a candidate with two elements after
-  it in the span leaves the scan at state 2 after its successor, and
-  stepping starts at the element after that with ``j = 2``.
+* **Candidates.**  The marks of ``P[0]`` are the candidate string: at
+  state 0 an element not close to ``P[0]`` leaves the state at 0, so the
+  scan passes over it.  ``bytes.find`` (a memchr) finds the next candidate,
+  and from it, with ``j = 0``, the KMP steps, prefix-table fallbacks and
+  beta check run as they always did until the state is back at 0.
 * **No tail, no match.**  Before any candidate, the scan checks that the span
   can end a full match at all.  Let ``L = m - max(pi)``, at least 1.  The
   state rises by at most one per element, and an element that raises it from
@@ -66,18 +58,18 @@ its close elements, with one ``bytes.translate``.
   ten-day windows.  On a 2-core x86-64 VM a ``C:`` series of seed 1234 then
   scans in about 3.1–3.4 ms in place of 4.6–5.0 at lookback 1440, and
   3.5–3.7 in place of 6.7–7.4 at 7200.
-* **Whole blocks.**  At its first full match the scan translates the span
-  once more, into its runs: 1 where an element is close to *every* value
-  of ``P``.  ``code_range`` is monotone in ``p``, so those are the ranks
-  from the first of ``code_range(max(P))`` to the end of
-  ``code_range(min(P))``.  From then on the scan searches again after each
-  full match, and where a search lands in a run, each whole block of
-  ``len(P)`` elements of it takes state 0 to a full match with no fallback
-  and leaves the state at 0, as stepping does; the scan jumps the blocks.
-  Let ``worst`` be the larger of ``max(P) - levels[first]`` and
-  ``levels[end - 1] - min(P)``.  Rounded subtraction is monotone, so no
-  term of a block's total error exceeds ``worst``, and a left fold of
-  ``m`` such terms is at most ``m * worst * (1 + 2**-53) ** (m - 1)``; when
+* **Whole blocks.**  Once the certificate passes, the scan translates the
+  span once more, into its runs: 1 where an element is close to *every*
+  value of ``P``.  ``code_range`` is monotone in ``p``, so those are the
+  ranks from the first of ``code_range(max(P))`` to the end of
+  ``code_range(min(P))``.  Where a search for a candidate lands in a run,
+  each whole block of ``len(P)`` elements of it takes state 0 to a full
+  match with no fallback and leaves the state at 0, as stepping does; the
+  scan jumps the blocks.  Let ``worst`` be the larger of
+  ``max(P) - levels[first]`` and ``levels[end - 1] - min(P)``.  Rounded
+  subtraction is monotone, so no term of a block's total error exceeds
+  ``worst``, and a left fold of ``m`` such terms is at most
+  ``m * worst * (1 + 2**-53) ** (m - 1)``; when
   ``worst * m * (1 + m * 2**-51) <= beta`` every block is a start, and
   otherwise each block's error is summed from the hot loop's terms in its
   order.  A pattern holding NaN never reaches a full match, and one
@@ -87,8 +79,7 @@ its close elements, with one ``bytes.translate``.
   of the 4,193 ten-day windows; none at lookback 58, whose spans are
   stepped.  There the median ``A`` window scans in about 45–58 µs in place
   of 150–190 µs at lookback 1440, and 62–79 µs in place of 260–330 µs at
-  7200.  Building the runs at every candidate instead slows the windows
-  that never match, so it waits for the first full match.
+  7200.
 
 Matching exactly.  When ``alpha`` is below the index's ``gap``, the smallest
 difference of two adjacent levels, and every value of ``P`` is a level, the
@@ -272,18 +263,8 @@ def _candidates(
     index: RankIndex, pattern: Sequence[float], alpha: float, lo: int, hi: int
 ) -> bytes:
     """1 at each position of ``index.values[lo:hi]`` marked close to
-    ``pattern[0]`` whose successor is marked close to ``pattern[1]`` or that
-    ends the span (every position marked close to ``pattern[0]``, for a
-    pattern of one); 0 elsewhere."""
-    codes = index.codes
-    head = codes[lo:hi].translate(_marks(*index.code_range(pattern[0], alpha)))
-    if len(pattern) == 1:
-        return head
-    # The successor's mark, shifted onto its predecessor; the last position
-    # has none and keeps its own.
-    succ = codes[lo + 1 : hi].translate(_marks(*index.code_range(pattern[1], alpha))) + b"\x01"
-    both = int.from_bytes(head, "big") & int.from_bytes(succ, "big")
-    return both.to_bytes(hi - lo, "big")
+    ``pattern[0]``, 0 elsewhere."""
+    return index.codes[lo:hi].translate(_marks(*index.code_range(pattern[0], alpha)))
 
 
 def _tail_ends(
@@ -382,7 +363,8 @@ def scan(
             start = codes.find(needle, start + m, hi)
         return found
     pi = prefix_function(pat, alpha)
-    cand = None
+    cand = runs = None
+    fits = False
     if codes is not None:
         # A full match ends on m - max(pi) minutes that each raised the state
         # by one, so none can end where those minutes are not close to the
@@ -390,9 +372,8 @@ def scan(
         if not _tail_ends(text, pat, alpha, m - max(pi), lo, hi):
             return []
         cand = _candidates(text, pat, alpha, lo, hi)
+        runs, fits = _runs(text, pat, tol, lo, hi)
     out: list[int] = []
-    runs: Optional[bytes] = None  # built at the first full match
-    fits = False
     i = j = 0
     while i < span:
         stop = span
@@ -418,11 +399,6 @@ def scan(
                             )
                         i += n * m
                         continue
-                if m >= 3 and i + 2 < span:
-                    # The marks are exact: a candidate's minute and its
-                    # successor take the state to 2.
-                    i += 2
-                    j = 2
             # State 0 usually returns within a few elements, so only a short
             # slice is copied before the state is checked again.
             stop = min(span, i + _STEP_SLICE)
@@ -449,11 +425,7 @@ def scan(
                         out.append(start)
                     j = 0
                     if cand is not None:
-                        # State 0 from here on is searched for, and runs are
-                        # jumped where the search lands.
-                        if runs is None:
-                            runs, fits = _runs(text, pat, tol, lo, hi)
-                        break
+                        break  # state 0 is searched for
             elif cand is not None:
                 break
         i += 1

@@ -914,7 +914,39 @@ class TestSeriesLoader:
         series_dir = self._write(tmp_path, "minute,value\n" + self._rows(minutes))
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
-        assert f"{series_dir / 'A.csv'}: minutes are not contiguous" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{series_dir / 'A.csv'}: line {first + 2}: minutes are not contiguous" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "1e300"])
+    @pytest.mark.parametrize("layout", [
+        # rows as ingest writes them, converted a block at a time
+        "as-written",
+        # blank lines just before it and spaces: read line by line
+        "loose",
+        # the count in the second block, converted at once
+        "second-block",
+        # the first block read line by line, the count in the second
+        "second-block-after-a-loose-one",
+    ])
+    def test_count_out_of_range_is_named_by_its_line_number(self, tmp_path, capsys, value, layout):
+        second = layout.startswith("second-block")
+        minutes = range(100_000, 100_000 + (3 * _BLOCK_LINES if second else 40))
+        rows = self._rows(minutes).splitlines(keepends=True)
+        bad = _BLOCK_LINES + 10 if second else 3  # index of the row
+        rows[bad] = f"{minutes[bad]},{value}\n"
+        if layout == "loose":
+            rows[bad:bad] = ["\n", "  \n"]
+            bad += 2
+            rows[bad] = rows[bad].replace(",", " , ")
+        elif layout == "second-block-after-a-loose-one":
+            rows.insert(5, "\n")
+            bad += 1
+        series_dir = self._write(tmp_path, "minute,value\n" + "".join(rows))
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        message = f"line {bad + 2}: minute counts must be non-negative and below 2**53, got "
+        assert f"{series_dir / 'A.csv'}: {message}" in err
 
     @pytest.mark.parametrize("method", ["asm", "ar"])
     def test_series_too_short_for_a_window_is_named(self, tmp_path, capsys, method):
@@ -928,9 +960,12 @@ class TestSeriesLoader:
     @pytest.mark.parametrize("text, message", [
         ("minute,count\n0,1.0\n", "bad series header 'minute,count'"),
         ("minute,value\n\n \n", "empty series"),
-        ("minute,value\n0,1.0\n2,1.0\n", "minutes are not contiguous"),
-        ("minute,value\n0,1.0\n1,-1.0\n", "minute counts must be non-negative and below 2**53"),
-    ], ids=["header", "empty", "gap", "negative"])
+        ("minute,value\n0,1.0\n2,1.0\n", "line 3: minutes are not contiguous"),
+        ("minute,value\n0,1.0\n1,-1.0\n",
+         "line 3: minute counts must be non-negative and below 2**53, got -1.0"),
+        # a gap is named before a count out of range, even an earlier one
+        ("minute,value\n0,1.0\n1,nan\n2,1.0\n\n4,1.0\n", "line 6: minutes are not contiguous"),
+    ], ids=["header", "empty", "gap", "negative", "gap-after-a-nan"])
     def test_rejected_series_file_is_named(self, tmp_path, capsys, text, message):
         series_dir = self._write(tmp_path, text)
         assert run_cli(["detect", "--series-dir", series_dir,

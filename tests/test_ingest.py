@@ -561,8 +561,10 @@ class TestSeriesFormat:
     @pytest.mark.parametrize("text, message", [
         ("", "bad series header ''"),
         ("minute,value\n", "empty series"),
-        ("minute,value\n7,1.0\n9,2.0\n", "minutes are not contiguous"),
+        ("minute,value\n7,1.0\n9,2.0\n", "line 3: minutes are not contiguous"),
         ("minute,value\n7,1.0\n8,x\n", "line 3: bad row '8,x'"),
+        ("minute,value\n7,1.0\n\n8,inf\n",
+         "line 4: minute counts must be non-negative and below 2**53, got inf"),
     ])
     def test_bad_file_names_no_path(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):

@@ -307,9 +307,9 @@ class TestScan:
 
     @pytest.mark.parametrize("m", [4, 40])
     def test_dense_candidates_stop_at_the_span_end(self, m):
-        # Every minute is close to pattern[0] and pattern[1], so each search
-        # finds the next minute and the scan steps slice after slice, one
-        # pattern of 40 across several slices; the text goes on past hi.
+        # Every minute is close to pattern[0], so each search finds the next
+        # minute and the scan steps slice after slice, one pattern of 40
+        # across several slices; the text goes on past hi.
         rng = random.Random(2024)
         text = tuple(rng.choice([0.5, 1.0, 1.5, 2.0]) for _ in range(3000))
         pattern = [1.0, 1.5] + [rng.choice([1.0, 1.5, 2.0]) for _ in range(m - 2)]
@@ -322,8 +322,8 @@ class TestScan:
             assert scan(index, pattern, tol, lo, hi) == want
 
     def test_candidate_that_ends_the_span_is_stepped(self):
-        # The only minute close to a one-element pattern is the span's last,
-        # which no minute follows to satisfy the pattern[1] lookahead.  The
+        # The only minute close to the pattern's first value is the span's
+        # last, so stepping from it must stop at the span's end.  The
         # 1.5 past both spans puts the level gap at alpha, so the scan takes
         # the candidate path, not the exact one.
         text = (5.0,) * 1000 + (1.0, 1.0, 1.5)
@@ -341,8 +341,8 @@ class TestScan:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_candidates_follow_their_stepped_definition(self, alpha):
         # Every string of up to 5 codes over 4 levels, each a span of one
-        # text that goes on past it: 1 where the minute is close to pattern[0]
-        # and its successor is close to pattern[1] or it ends the span.
+        # text that goes on past it: 1 where the minute is close to
+        # pattern[0], whatever follows it.
         levels = (0.0, 1.0, 2.0, 3.0)
         text, spans = [], []
         for n in range(6):
@@ -356,13 +356,8 @@ class TestScan:
 
         patterns = [[p] for p in levels] + [list(pq) for pq in itertools.product(levels, repeat=2)]
         for pattern in patterns:
-            nxt = pattern[1] if len(pattern) > 1 else None
             for lo, hi in spans:
-                want = bytes(
-                    close(text[i], pattern[0])
-                    and (i + 1 == hi or nxt is None or close(text[i + 1], nxt))
-                    for i in range(lo, hi)
-                )
+                want = bytes(close(x, pattern[0]) for x in text[lo:hi])
                 assert matching._candidates(index, pattern, alpha, lo, hi) == want, (
                     pattern,
                     text[lo:hi],
@@ -433,7 +428,7 @@ class TestScan:
                 assert scan(index, pattern, tol, 0, len(text)) == []
             assert not spy.called, pattern
             assert reference_search(tuple(text), pattern, tol) == []
-        # The same text and pattern stepped: 10, 1 are candidates.
+        # The same text and pattern stepped: the 10s are candidates.
         assert matching._candidates(index, [10.0, 1.0, 2.0, 3.0], 1.0, 0, len(text)).count(1) > 50
 
     @pytest.mark.parametrize("n_levels, n", [(1, 600), (2, 601), (37, 607), (256, 608)])
@@ -481,8 +476,8 @@ class TestScan:
 
     @pytest.mark.parametrize("n_levels", [256, 257])
     def test_scan_at_the_level_limit_matches_the_stepped_scan(self, n_levels):
-        # At 256 levels the marks are exact and the scan skips to state 2 and
-        # exits at pattern[2]; at 257 it steps.
+        # At 256 levels the marks are exact and the scan steps from its
+        # candidates; at 257 it steps every minute.
         rng = random.Random(n_levels)
         levels = [float(v) for v in range(n_levels)]
         pattern = [rng.choice(levels) for _ in range(6)]
@@ -601,23 +596,34 @@ class TestScan:
             assert len(want) == blocks
             assert scan(index, pattern, tol, 0, len(text)) == want
 
-    def test_runs_are_built_once_at_the_first_full_match(self):
-        # Building the run string at every candidate costs more than the
-        # blocks it jumps in windows that never match.
+    def test_runs_are_built_once_for_each_window_the_certificate_passes(self):
+        # Right after the candidates, whether or not the window then matches;
+        # never where no tail ends in the span, nor on the exact path.
         rng = random.Random(8)
         noise = [float(rng.choice([0, 1, 2, 3, 5, 8])) for _ in range(4000)]
         pattern = noise[2000:2024]
         text = tuple(noise[:2000] + pattern * 3 + noise[2000:])
         index = RankIndex(text)
         tol = Tolerance(1.0, 12.0)
+        assert index.gap == 1.0
         with mock.patch.object(matching, "_runs", wraps=matching._runs) as spy:
-            # Candidates and partial matches, but no minute is close to 40.
+            # No minute is close to 40, so no tail ends in the span.
             for never in ([40.0] * 24, pattern[:12] + [40.0] * 12, pattern[:-1] + [40.0]):
                 assert scan(index, never, tol, 0, len(text)) == []
+            # Below the level gap the pattern's codes are searched for.
+            exact = Tolerance(0.5, 12.0)
+            assert scan(index, pattern, exact, 0, len(text)) == reference_search(text, pattern, exact)
             assert not spy.called
-            got = scan(index, pattern, tol, 0, len(text))
-            assert len(got) >= 3 and spy.call_count == 1
-        assert got == reference_search(text, pattern, tol)
+            # Its tail of two ends where a 0 meets an 8, but no 24 minutes
+            # alternate so.
+            alternating = [0.0, 8.0] * 12
+            assert scan(index, alternating, tol, 0, len(text)) == []
+            assert spy.call_count == 1
+            got = scan(index, pattern, tol, 10, len(text) - 5)
+            assert len(got) >= 3 and spy.call_count == 2
+            assert spy.call_args.args[1:] == (pattern, tol, 10, len(text) - 5)
+        assert reference_search(text, alternating, tol) == []
+        assert got == [10 + s for s in reference_search(text[10:-5], pattern, tol)]
 
     def test_infinite_levels_are_stepped(self):
         # inf - inf is NaN, which the scan never finds close although the inf

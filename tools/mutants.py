@@ -38,7 +38,6 @@ class Mutant(NamedTuple):
 
 
 _SCAN_EXACT = "tests/test_matching.py::TestScan::test_matches_the_stepped_scan_exactly"
-_SMALL_ALPHABETS = "tests/test_matching.py::TestScan::test_small_alphabets_match_the_stepped_scan"
 _WHOLE_BLOCKS = "tests/test_matching.py::TestScan::test_whole_blocks_match_the_stepped_scan"
 _RUNS_DEFINED = "tests/test_matching.py::TestScan::test_runs_follow_their_stepped_definition[{alpha}]"
 _TAILS = "tests/test_matching.py::TestScan::test_tails_match_the_stepped_scan"
@@ -76,21 +75,14 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "candidate-reads-pattern-1",
+        "candidates-close-to-the-first-value",
         "matching.py",
-        "_marks(*index.code_range(pattern[1], alpha))",
         "_marks(*index.code_range(pattern[0], alpha))",
+        "_marks(*index.code_range(pattern[-1], alpha))",
         (
             "tests/test_matching.py::TestScan::test_candidates_follow_their_stepped_definition[0.0]",
             _SCAN_EXACT,
         ),
-    ),
-    Mutant(
-        "skip-to-state-2-needs-three",
-        "matching.py",
-        "if m >= 3 and i + 2 < span:",
-        "if m >= 2 and i + 2 < span:",
-        (_SMALL_ALPHABETS, _SCAN_EXACT),
     ),
     Mutant(
         "tail-no-longer-than-m-minus-max-pi",
@@ -375,6 +367,16 @@ MUTANTS = [
         "",
         (
             "tests/test_cli.py::TestSeriesLoader::test_bad_row_in_the_second_block_is_named_by_its_line_number",
+        ),
+    ),
+    Mutant(
+        "series-count-line-counts-the-blank-lines-before-it",
+        "ingest.py",
+        "line = 2 + k + bisect_right(blanks, k)",
+        "line = 2 + k + bisect_right(blanks, k - 1)",
+        (
+            "tests/test_cli.py::TestSeriesLoader::"
+            "test_count_out_of_range_is_named_by_its_line_number[loose-nan]",
         ),
     ),
     Mutant(
