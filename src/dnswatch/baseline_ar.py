@@ -14,9 +14,8 @@ own history and takes the same path.  Each window sum is a difference of two
 prefix sums.  For integer counts no prefix sum exceeds the total of
 ``y**2``: below ``MAX_COUNT`` every sum is exact, and past it detection
 builds no sums and fits every window with ``fit_ar`` alone, so a window fits
-bit for bit as it would from its own history alone.  On other values the
-rounding error grows with the length of the prefix rather than the window,
-most for a short lookback late in a long series.
+bit for bit as it would from its own history alone.  Every series holds
+such counts (:class:`~dnswatch.model.MinuteSeries` checks them).
 
 Detection fits the windows of a series in stacks of at most ``_CHUNK``
 that share a largest candidate lag: one stacked Cholesky factorization and

@@ -280,8 +280,6 @@ def _predict_asm(
         # runs left to right, so those are exactly the matches it finds in
         # [lo, hi): the minutes from t - h on change none of them.
         hi = max(lo, t - h)
-        # Keyed on the pattern, not on alpha == 0: a subnormal pattern mean
-        # also rounds alpha to zero without the pattern being all zero.
         if not any(pattern):
             if zero is None:
                 zero = bytes(map(bool, values))  # any()'s test, so -0.0 is zero

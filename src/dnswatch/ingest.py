@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequen
 from urllib.parse import quote, unquote
 
 from .detector import AnomalyEvent, WindowFlag
-from .model import MAX_COUNT, FeatureKind, MinuteSeries, SeriesKey
+from .model import FeatureKind, MinuteSeries, SeriesKey, first_non_count
 
 EVENTS_HEADER = ["ts_epoch_s", "src_ip", "dst_ip", "direction", "malformed"]
 TRUTH_HEADER = ["start_minute", "end_minute", "label"]
@@ -312,7 +312,7 @@ def read_series(stream: IO[str]) -> MinuteSeries:
         return MinuteSeries(start, tuple(values))
     except ValueError as exc:
         # Looked for only now, so that a valid file pays nothing for its line.
-        k = next(k for k, v in enumerate(values) if not 0.0 <= v < MAX_COUNT)
+        k = first_non_count(values)
         # After the header, each line before value k's holds a value or is blank.
         line = 2 + k + bisect_right(blanks, k)
         raise ParseError(f"line {line}: {exc}, got {values[k]!r}") from None

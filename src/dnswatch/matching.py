@@ -8,8 +8,9 @@ the shifts, so the scan itself runs in time linear in ``len(T) + len(P)``.
 
 Guarantees of the returned start indices:
 
-* every start passes an independent ``total_error(P, T, start) <= beta``
-  recheck (beta-soundness);
+* the total absolute difference of every start's window, summed afresh, is
+  at most ``beta`` (beta-soundness; ``total_error`` in
+  ``tests/test_matching.py`` is that recheck);
 * consecutive starts differ by at least ``len(P)`` (the scan state resets
   after every full per-element match, whether or not the total-error check
   passes, so a failing window still consumes its span of text).
@@ -21,13 +22,16 @@ spacing are contractual.
 
 Skipping in C.  Most of a long text is crossed at state 0 by elements that
 do not advance it.  A :class:`RankIndex` of a text of at most 256 distinct
-values (levels) writes it once as bytes, one per element: the rank of its
-value among the levels.  The scan calls ``x`` close to ``p`` when
-``fl(x - p)`` lies in ``[-alpha, alpha]``, and correctly rounded subtraction
-is monotone in ``x``, so the levels close to ``p`` form one contiguous run of
-ranks; two bisections over the levels find it, and a 256-byte table that
-marks those ranks 1 turns the span's bytes into its marks, which are exactly
-its close elements, with one ``bytes.translate``.
+values (levels), each an integer as every count is, writes it once as bytes,
+one per element: the rank of its value among the levels.  The scan calls
+``x`` close to ``p`` when ``fl(x - p)`` lies in ``[-alpha, alpha]``, and
+correctly rounded subtraction is monotone in ``x``, so the levels close to
+``p`` form one contiguous run of ranks; two bisections over the levels find
+it, and a 256-byte table that marks those ranks 1 turns the span's bytes
+into its marks, which are exactly its close elements, with one
+``bytes.translate``.  The scan skips so only for a pattern whose every value
+is a level, as every pattern ``detect`` takes from its series is: each value
+is then close to itself, so no run of ranks is empty.
 
 * **Candidates.**  The marks of ``P[0]`` are the candidate string: at
   state 0 an element not close to ``P[0]`` leaves the state at 0, so the
@@ -50,14 +54,10 @@ its close elements, with one ``bytes.translate``.
   aligned suffix, after Baeza-Yates and Gonnet), they leave the possible
   ends in ``[lo + L - 1, hi)``.  None means no full match, so the scan returns
   ``[]``; the exact path and the block jump return what stepping returns, so
-  they agree.  A NaN pattern value, or an infinite one below
-  ``alpha = inf``, is close to nothing and certifies at once.  In the
-  three-day benchmark data this answers 304 (seed 1234) and 307 (seed 4321)
-  of the 1,253 windows at each of lookbacks 1440 and 7200, every ``C:``
-  window that would build candidates, and 1,126 and 923 of the 4,193
-  ten-day windows.  On a 2-core x86-64 VM a ``C:`` series of seed 1234 then
-  scans in about 3.1–3.4 ms in place of 4.6–5.0 at lookback 1440, and
-  3.5–3.7 in place of 6.7–7.4 at 7200.
+  they agree.  In the three-day benchmark data this answers 304 (seed 1234)
+  and 307 (seed 4321) of the 1,253 windows at each of lookbacks 1440 and
+  7200, every ``C:`` window that would build candidates, and 1,126 and 923
+  of the 4,193 ten-day windows.
 * **Whole blocks.**  Once the certificate passes, the scan translates the
   span once more, into its runs: 1 where an element is close to *every*
   value of ``P``.  ``code_range`` is monotone in ``p``, so those are the
@@ -72,21 +72,16 @@ its close elements, with one ``bytes.translate``.
   ``m * worst * (1 + 2**-53) ** (m - 1)``; when
   ``worst * m * (1 + m * 2**-51) <= beta`` every block is a start, and
   otherwise each block's error is summed from the hot loop's terms in its
-  order.  A pattern holding NaN never reaches a full match, and one
-  holding an infinity gets no runs.  The flat patterns of ``A`` take this
-  path: in the three-day benchmark data, 148 (seed 1234) and 152 (seed
-  4321) of the 1,253 windows at each of lookbacks 1440 and 7200, and 565
-  of the 4,193 ten-day windows; none at lookback 58, whose spans are
-  stepped.  There the median ``A`` window scans in about 45–58 µs in place
-  of 150–190 µs at lookback 1440, and 62–79 µs in place of 260–330 µs at
-  7200.
+  order.  The flat patterns of ``A`` take this path: in the three-day
+  benchmark data, 149 (seed 1234) and 153 (seed 4321) of the 1,253 windows
+  at each of lookbacks 1440 and 7200, and 566 of the 4,193 ten-day windows;
+  none at lookback 58, whose spans are stepped.
 
 Matching exactly.  When ``alpha`` is below the index's ``gap``, the smallest
-difference of two adjacent levels, and every value of ``P`` is a level, the
-scan neither builds candidates nor steps: it returns the non-overlapping
-occurrences of ``P``'s codes in the span's codes, one ``bytes.find`` each,
-the next searched from the previous start plus ``len(P)``.  The starts are
-the same:
+difference of two adjacent levels, the scan neither builds candidates nor
+steps: it returns the non-overlapping occurrences of ``P``'s codes in the
+span's codes, one ``bytes.find`` each, the next searched from the previous
+start plus ``len(P)``.  The starts are the same:
 
 * correctly rounded subtraction is monotone, so two distinct levels differ
   by at least ``gap > alpha``, and the scan finds ``x`` close to a level
@@ -97,29 +92,26 @@ the same:
   is what the repeated searches find;
 * each occurrence has a total error of ``0.0 <= beta``.
 
-A value of ``P`` that is no level (NaN, an infinity or a value between two
-levels, none of which ``detect`` gives) keeps the scan on its candidates,
-and so does ``alpha == gap``.  Low per-IP counts take this path: in the
-three-day benchmark data of seed 1234, 331 of the 789 windows scanned
-through an index at each of lookbacks 1440 and 7200, all of them in the
-``C:`` series.
+At ``alpha == gap`` the scan keeps to its candidates.  Low per-IP counts
+take this path: in the three-day benchmark data, 331 (seed 1234) and 328
+(seed 4321) of the windows scanned through an index at each of lookbacks
+1440 and 7200, all of them in the ``C:`` series.  ``TestPathCounts`` in
+``tests/test_matching.py`` pins the three-day counts of every path.
 
 The index costs one byte per element plus the sorted levels, and
 ``O(n log L)`` to build for ``n`` elements with ``L`` levels, and an eighth
 of a byte per element for each rank whose bitset a scan reads, so only a
 caller that scans one text many times keeps one and pays that; :func:`scan`
 skips only through a :class:`RankIndex` it is given, and :func:`search`
-steps its text.  A text of more than 256 levels gets no bytes and is
-stepped, and so is one holding NaN or an infinity: NaN has no order to rank
-by, and ``inf - inf`` is NaN, which the scan never finds close although the
-infinite level lies inside its own run of ranks, and which at a state above
-0 neither advances nor falls back.
+steps its text.  A text of more than 256 levels, or of a level that is no
+integer, gets no bytes and is stepped, and so is a pattern with a value that
+is no level, so that :func:`scan` is :func:`search` for any text.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import inf, isfinite
+from math import inf
 from operator import add, sub
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -160,18 +152,6 @@ def prefix_function(pattern: Sequence[float], alpha: float) -> list[int]:
     return ret
 
 
-def total_error(pattern: Sequence[float], text: Sequence[float], offs: int) -> float:
-    """Sum of absolute differences between ``pattern`` and the text window at ``offs``."""
-    if offs < 0 or offs + len(pattern) > len(text):
-        raise IndexError(
-            f"window [{offs}, {offs + len(pattern)}) outside text of length {len(text)}"
-        )
-    total = 0.0
-    for i in range(len(pattern)):
-        total += abs(pattern[i] - text[offs + i])
-    return total
-
-
 # The bitsets a RankIndex keeps, each of a bit per element.  _tail_ends
 # reads at most two per value of a window's tail, and the tail is at most
 # the pattern, 24 minutes at the default k.  The tails of nearby windows
@@ -187,13 +167,11 @@ class RankIndex:
     each to its rank, and the byte of an element is the rank of its value.
     ``gap`` is the smallest difference of two adjacent levels, subtracted as
     the scan subtracts; below it, the scan matches codes exactly.  ``codes``
-    is ``None`` when there are more than 256 levels, or when a value is NaN
-    or infinite: NaN has no order to rank by, and ``inf - inf`` is NaN, which
-    neither advances the scan's state nor lets it fall back, so no mark can
-    stand for it.  All are built on first use, and so is each bitset of
-    :meth:`at_most`, so a sequence that is only ever scanned over short
-    spans never pays for them.  Only the ``_AT_MOST_KEPT`` bitsets used
-    last are kept.
+    is ``None`` when there are more than 256 levels, or when a level is not
+    an integer, which no count is.  All are built on first use, and so is
+    each bitset of :meth:`at_most`, so a sequence that is only ever scanned
+    over short spans never pays for them.  Only the ``_AT_MOST_KEPT``
+    bitsets used last are kept.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
@@ -211,8 +189,9 @@ class RankIndex:
 
     @cached_property
     def codes(self) -> Optional[bytes]:
-        if len(self.levels) > 256 or not all(map(isfinite, self.levels)):
-            return None  # NaN has no order, and inf - inf is NaN
+        # is_integer is false for NaN and the infinities; levels may be ints
+        if len(self.levels) > 256 or not all(float(v).is_integer() for v in self.levels):
+            return None
         return bytes(map(self.ranks.__getitem__, self.values))
 
     @cached_property
@@ -272,7 +251,7 @@ def _tail_ends(
 ) -> bool:
     """Whether some ``i`` in ``[lo + tail - 1, hi)`` ends ``tail`` elements
     each marked close to the value of ``pattern`` it aligns with when
-    ``pattern`` ends at ``i``."""
+    ``pattern`` ends at ``i``; every value of ``pattern`` is a level."""
     # Element i is bit 8 * b - 1 - i of the bytes sliced from each bitset.
     first_byte, b = lo // 8, (hi + 7) // 8
     ends = ((1 << (hi - lo - tail + 1)) - 1) << (8 * b - hi)
@@ -282,8 +261,6 @@ def _tail_ends(
         close = marked.get(p)
         if close is None:
             first, end = index.code_range(p, alpha)
-            if first >= end:
-                return False
             # The ranks at most end - 1 less those at most first - 1, a subset.
             close = int.from_bytes(index.at_most(end - 1)[first_byte:b], "big")
             if first:
@@ -303,10 +280,7 @@ def _runs(
     close to every value of ``pattern``, 0 elsewhere, and whether a bound
     puts the total error of any block of ``len(pattern)`` such positions
     within ``tol.beta`` (if not, each block must be summed).  The string is
-    empty when a value is not finite: ``max`` and ``min`` skip a NaN that is
-    not first."""
-    if not all(map(isfinite, pattern)):
-        return b"", False
+    empty when no level is close to every value."""
     top, bottom = max(pattern), min(pattern)
     # code_range is monotone in p, so the highest value has the highest first
     # rank and the lowest value the lowest end.
@@ -351,7 +325,9 @@ def scan(
     # spans use only the small ints that Python keeps cached.
     span = hi - lo
     codes = text.codes if indexed and span >= _SKIP_SPAN else None
-    if codes is not None and alpha < text.gap and all(map(text.ranks.__contains__, pat)):
+    if codes is not None and not all(map(text.ranks.__contains__, pat)):
+        codes = None  # a pattern of levels has each value close to its own code
+    if codes is not None and alpha < text.gap:
         # Below the level gap only equal values are close, and every match
         # has total error 0.0: the scan is classical KMP, resetting after each
         # full match, which finds what repeated searches for the codes find.

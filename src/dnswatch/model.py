@@ -1,17 +1,20 @@
 """Core value types shared across the pipeline.
 
-A traffic feature is observed as one non-negative count per minute.  Each
-stream of counts is identified by a :class:`SeriesKey` (a feature, plus an IP
-address for the per-IP features) and stored as a gap-free
-:class:`MinuteSeries`.  All types here are immutable after construction and
-safe to share between workers.
+A traffic feature is observed as one count per minute: an integer in
+``[0, MAX_COUNT)``, held as a float.  Each stream of counts is identified by
+a :class:`SeriesKey` (a feature, plus an IP address for the per-IP features)
+and stored as a gap-free :class:`MinuteSeries`, which is the one place that
+checks the counts: a series file holding any other value, such as ``1.5``,
+``-1`` or ``nan``, is rejected naming its line, and everything downstream
+takes the counts as given.  All types here are immutable after construction
+and safe to share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 
 # Counts are integers; below this bound every square and sum the detectors
@@ -80,8 +83,9 @@ class MinuteSeries:
 
     ``values[i]`` is the count for epoch minute ``start_minute + i``.  Gaps
     must be zero-filled by the producer; values are stored as floats so that
-    predictions and thresholds share one numeric domain, and must lie in
-    ``[0, MAX_COUNT)``.
+    predictions and thresholds share one numeric domain, and each must be an
+    integer in ``[0, MAX_COUNT)``: :func:`first_non_count` names the first
+    that is not.
     """
 
     start_minute: int
@@ -89,9 +93,22 @@ class MinuteSeries:
 
     def __post_init__(self) -> None:
         vals = tuple(map(float, self.values))  # floats pass through as they are
-        if not all(0.0 <= v < MAX_COUNT for v in vals):  # also false for nan
-            raise ValueError("minute counts must be non-negative and below 2**53")
+        if not _counts(vals):
+            raise ValueError("minute counts must be integers in [0, 2**53)")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _counts(vals: tuple[float, ...]) -> bool:
+    """Whether every value is an integer in ``[0, MAX_COUNT)``; ``is_integer``
+    is false for NaN and the infinities, so ``min`` and ``max`` see numbers."""
+    return all(map(float.is_integer, vals)) and (
+        not vals or 0.0 <= min(vals) and max(vals) < MAX_COUNT
+    )
+
+
+def first_non_count(values: Sequence[float]) -> int:
+    """The index of the first value that :class:`MinuteSeries` rejects."""
+    return next(k for k, v in enumerate(values) if not _counts((float(v),)))

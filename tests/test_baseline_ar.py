@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dnswatch import baseline_ar
 from dnswatch.baseline_ar import ArModel, _predict_ar, detect_series_ar, fit_ar, forecast_ar
-from dnswatch.detector import DetectorConfig, Window, _decide, _plan_windows
+from dnswatch.detector import DetectorConfig, _decide, _plan_windows
 from dnswatch.ingest import aggregate_all
 from dnswatch.model import MAX_COUNT, FeatureKind, MinuteSeries, SeriesKey
 from dnswatch.synth import AttackSpec, SynthProfile, iter_events
@@ -212,22 +212,6 @@ class TestWholeSeriesSums:
             _predict_ar(arr.tolist(), cfg, windows)
         # fit_ar builds sums over a window's history alone
         assert any(call.args[0].size == arr.size for call in built.call_args_list) == exact
-
-    @pytest.mark.parametrize("lookback", [48, 200])
-    def test_non_integer_values_agree_within_rtol(self, lookback):
-        rng = np.random.default_rng(11)
-        minutes = np.arange(600)
-        values = 40.0 + 30.0 * np.sin(minutes * 2 * np.pi / 97) + rng.normal(0.0, 5.0, 600)
-        cfg = DetectorConfig(k=12, h=12, lookback=lookback, stride=7)
-        # AR reads no thresholds
-        windows = [
-            Window(t, max(0, t - lookback), None)
-            for t in range(cfg.k, values.size - cfg.h + 1, cfg.stride)
-        ]
-        whole = _predict_ar(values, cfg, windows)
-        local = _window_local_predictions(values, cfg, windows)
-        for w, l in zip(whole, local):
-            np.testing.assert_allclose(w, l, rtol=1e-9)
 
 
 def _hex(predictions):

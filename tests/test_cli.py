@@ -205,7 +205,10 @@ class TestExitCodes:
         ["sweep", "--events", "nope.csv", "--truth", "nope.csv", "--out", "o.csv",
          "--score-threshold", "5"],
         ["detect", "--series-dir", "x", "--report", "y", "--lookb", "10"],
-    ], ids=["expect-bogus", "sweep-lookback", "sweep-score-threshold", "detect-lookb"])
+        # an attack of two fields is no attack
+        ["gen", "--days", "1", "--out-events", "e", "--out-truth", "t", "--attack", "1:2"],
+    ], ids=["expect-bogus", "sweep-lookback", "sweep-score-threshold", "detect-lookb",
+            "gen-attack-of-two-fields"])
     def test_unknown_flag_exits_1(self, argv):
         out = subprocess.run(
             [sys.executable, "-m", "dnswatch", *argv],
@@ -213,6 +216,8 @@ class TestExitCodes:
         )
         assert out.returncode == 1
         assert "error" in out.stderr
+        if argv[0] == "gen":
+            assert "attack must be start:duration:multiplier, got '1:2'" in out.stderr
         # the subcommand's own usage, which lists the flags it does take
         assert f"usage: dnswatch {argv[0]}" in out.stderr
 
@@ -257,12 +262,11 @@ class TestExitCodes:
         assert "True" not in windows.read_text()
 
     @pytest.mark.parametrize("method", ["asm", "ar"])
-    def test_tiny_values_exit_0(self, tmp_path, method):
-        # squares of 1e-170 underflow to 0, so a window of them has no
-        # direction and a cosine of 0, where dividing by its norm would raise
+    def test_tiny_values_exit_2_naming_the_first(self, tmp_path, method):
+        # a count is an integer, so 1e-170 is none, on either method
         series_dir = tmp_path / "series"
         series_dir.mkdir()
-        values = [1e-170] * 200 + [5.0] * 48
+        values = [5.0] * 3 + [1e-170] * 200 + [5.0] * 48
         rows = "".join(f"{m},{v!r}\n" for m, v in enumerate(values))
         (series_dir / "A.csv").write_text("minute,value\n" + rows)
         out = subprocess.run(
@@ -270,8 +274,11 @@ class TestExitCodes:
              "--method", method, "--report", str(tmp_path / "r.json"), "--lookback", "100"],
             capture_output=True, text=True,
         )
-        assert out.returncode == 0, out.stderr
-        assert "Traceback" not in out.stderr
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == (
+            f"dnswatch: {series_dir / 'A.csv'}: line 5: minute counts must be integers"
+            " in [0, 2**53), got 1e-170\n"
+        )
 
     def test_series_without_shared_span_exits_2(self, tmp_path, capsys):
         series_dir = tmp_path / "series"
@@ -367,6 +374,33 @@ class TestExitCodes:
         assert run_cli(["ingest", "--events", events, "--out-dir", tmp_path / "s"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--attack", "10:0:3"], "attack at minute 10: duration_minutes must be positive"),
+        (["detect", "--k", "0"], "k and h must be at least 1"),
+        (["detect", "--h", "0"], "k and h must be at least 1"),
+        (["detect", "--stride", "0"], "stride must be at least 1"),
+        # the last --series-dir is the one read
+        (["detect", "--series-dir", "{tmp}/empty"], "no series CSVs found in {tmp}/empty"),
+        (["eval", "--window", "0"], "window must be at least 1"),
+    ], ids=["gen-attack-duration-0", "detect-k-0", "detect-h-0", "detect-stride-0",
+            "detect-no-series", "eval-window-0"])
+    def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, argv, message):
+        (tmp_path / "series").mkdir()
+        (tmp_path / "series" / "A.csv").write_text("minute,value\n" + "0,1.0\n" * 60)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "truth.csv").write_text("start_minute,end_minute,label\n")
+        (tmp_path / "report.json").write_text("[]")
+        files = {
+            "gen": ["--days", "1", "--out-events", tmp_path / "e.csv",
+                    "--out-truth", tmp_path / "t.csv"],
+            "detect": ["--series-dir", tmp_path / "series", "--report", tmp_path / "r.json"],
+            "eval": ["--report", tmp_path / "report.json", "--truth", tmp_path / "truth.csv"],
+        }[argv[0]]
+        before = _tree(tmp_path)
+        assert run_cli([argv[0], *files, *(a.format(tmp=tmp_path) for a in argv[1:])]) == 2
+        assert capsys.readouterr().err == f"dnswatch: {message.format(tmp=tmp_path)}\n"
+        assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("sub", ["ingest", "sweep"])
     def test_quoted_field_that_runs_on_exits_2_naming_file_and_line(self, tmp_path, capsys, sub):
@@ -826,11 +860,11 @@ class TestSeriesLoader:
         text = (
             " minute,value \r\n"
             "\n"
-            "7,1.5\r\n"
+            "7,1.0\r\n"
             "  8 , 2.0  \n"
             "\t\n"
             "9,\t3\r"
-            "10 ,4.25\x1c\n"
+            "10 ,4e0\x1c\n"
             "   \n"
             "11,0\n"
             "\n"
@@ -838,7 +872,7 @@ class TestSeriesLoader:
         series = _load_series_dir(str(self._write(tmp_path, text)))
         s = series[SeriesKey(FeatureKind.A_TOTAL_PACKETS)]
         assert s.start_minute == 7
-        assert s.values == (1.5, 2.0, 3.0, 4.25, 0.0)
+        assert s.values == (1.0, 2.0, 3.0, 4.0, 0.0)
 
     @pytest.mark.parametrize("row, eol", [
         *(pytest.param(row, "\n", id=row)
@@ -857,7 +891,7 @@ class TestSeriesLoader:
 
     def test_bad_row_deep_in_a_long_file_is_named_by_its_line_number(self, tmp_path, capsys):
         # Rows of several blocks, some lines blank, the bad row far from the first.
-        lines = [f"{m},{m % 7}.5" if m % 11 else "" for m in range(5000)]
+        lines = [f"{m},{m % 7}.0" if m % 11 else "" for m in range(5000)]
         lines[3333] = "3333,x"
         series_dir = self._write(tmp_path, "minute,value\n" + "\n".join(lines) + "\n")
         assert run_cli(["detect", "--series-dir", series_dir,
@@ -889,7 +923,7 @@ class TestSeriesLoader:
 
     @staticmethod
     def _rows(minutes):
-        return "".join(f"{m},{m % 7}.5\n" for m in minutes)
+        return "".join(f"{m},{m % 7}.0\n" for m in minutes)
 
     @pytest.mark.parametrize("gap", [
         pytest.param(False, id="contiguous"),
@@ -917,7 +951,7 @@ class TestSeriesLoader:
         err = capsys.readouterr().err
         assert f"{series_dir / 'A.csv'}: line {first + 2}: minutes are not contiguous" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "1e300"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0", "1e300", "1.5", "5e-324"])
     @pytest.mark.parametrize("layout", [
         # rows as ingest writes them, converted a block at a time
         "as-written",
@@ -945,8 +979,8 @@ class TestSeriesLoader:
         assert run_cli(["detect", "--series-dir", series_dir,
                         "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
         err = capsys.readouterr().err
-        message = f"line {bad + 2}: minute counts must be non-negative and below 2**53, got "
-        assert f"{series_dir / 'A.csv'}: {message}" in err
+        message = f"line {bad + 2}: minute counts must be integers in [0, 2**53), got {float(value)!r}"
+        assert f"{series_dir / 'A.csv'}: {message}\n" in err
 
     @pytest.mark.parametrize("method", ["asm", "ar"])
     def test_series_too_short_for_a_window_is_named(self, tmp_path, capsys, method):
@@ -962,10 +996,12 @@ class TestSeriesLoader:
         ("minute,value\n\n \n", "empty series"),
         ("minute,value\n0,1.0\n2,1.0\n", "line 3: minutes are not contiguous"),
         ("minute,value\n0,1.0\n1,-1.0\n",
-         "line 3: minute counts must be non-negative and below 2**53, got -1.0"),
+         "line 3: minute counts must be integers in [0, 2**53), got -1.0"),
+        ("minute,value\n0,1.0\n\n1,2.5\n2,-1.0\n",
+         "line 4: minute counts must be integers in [0, 2**53), got 2.5"),
         # a gap is named before a count out of range, even an earlier one
         ("minute,value\n0,1.0\n1,nan\n2,1.0\n\n4,1.0\n", "line 6: minutes are not contiguous"),
-    ], ids=["header", "empty", "gap", "negative", "gap-after-a-nan"])
+    ], ids=["header", "empty", "gap", "negative", "non-integer", "gap-after-a-nan"])
     def test_rejected_series_file_is_named(self, tmp_path, capsys, text, message):
         series_dir = self._write(tmp_path, text)
         assert run_cli(["detect", "--series-dir", series_dir,

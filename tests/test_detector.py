@@ -290,7 +290,7 @@ class TestPlanOracle:
     @settings(max_examples=200)
     @given(
         values=st.lists(
-            st.one_of(st.integers(0, 2000).map(float), st.sampled_from([0.0, -0.0, 9.9, 10.0])),
+            st.one_of(st.integers(0, 2000).map(float), st.sampled_from([0.0, -0.0, 9.0, 10.0])),
             min_size=3,
             max_size=120,
         ),

@@ -249,6 +249,28 @@ class TestCountedRuns:
             "line 1502: quoted field does not end on its line"
         )
 
+    @pytest.mark.parametrize("text, message", [
+        ("start_minute,end_minute\n1,2\n",
+         "bad truth header: expected start_minute,end_minute,label, got ['start_minute', 'end_minute']"),
+        ("start_minute,end_minute,label\n1,2\n", "line 2: expected 3 fields, got 2"),
+        ("start_minute,end_minute,label\n1,x,a\n", "line 2: unparsable minute bounds ['1', 'x']"),
+        ("start_minute,end_minute,label\n1.5,6,a\n",
+         "line 2: unparsable minute bounds ['1.5', '6']"),
+        ("start_minute,end_minute,label\n5,2,a\n", "line 2: end_minute 2 before start_minute 5"),
+        ("start_minute,end_minute,label\n\n1,2,a\n5,2,a\n",
+         "line 4: end_minute 2 before start_minute 5"),
+    ], ids=["header-without-label", "two-fields", "minute-x", "minute-1.5", "end-before-start",
+            "after-a-blank-line"])
+    def test_bad_truth_names_its_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_ground_truth(io.StringIO(text))
+
+    def test_blank_lines_are_skipped(self):
+        text = "start_minute,end_minute,label\n\n5,9,ddos\n\n\n12,12,\n"
+        assert parse_ground_truth(io.StringIO(text)) == [
+            GroundTruthInterval(5, 9, "ddos"), GroundTruthInterval(12, 12, "")
+        ]
+
     def test_field_over_the_csv_limit_is_named_by_its_line(self):
         # csv rejects a field of more than 131,072 characters; the reader
         # names the line it stopped on, in the header, among counted lines
@@ -486,10 +508,10 @@ class TestAggregate:
             aggregate_all(records)
 
 
-# Values that a float's repr or a series row could get wrong: a signed zero,
-# the largest count, decimals that have no exact binary form, subnormals.
-_EDGE_VALUES = [-0.0, 0.0, 2.0**53 - 1, 0.1, 1e-300, 5e-324, 1.5, 7.0]
-_values = st.sampled_from(_EDGE_VALUES) | st.floats(0, 2.0**53, exclude_max=True)
+# Counts that a float's repr or a series row could get wrong: a signed zero,
+# the largest count, and the largest whose repr has no exponent.
+_EDGE_VALUES = [-0.0, 0.0, 1.0, 7.0, 2.0**53 - 1, 2.0**52 + 1, 1e15, 123456789.0]
+_values = st.sampled_from(_EDGE_VALUES) | st.integers(0, 2**53 - 1).map(float)
 
 
 def _written(series):
@@ -526,7 +548,7 @@ class TestSeriesFormat:
 
     def test_a_series_of_many_blocks_round_trips(self):
         rng = random.Random(5)
-        values = [rng.choice(_EDGE_VALUES + [rng.random() * 1e6]) for _ in range(20_000)]
+        values = [rng.choice(_EDGE_VALUES + [float(rng.randrange(10**6))]) for _ in range(20_000)]
         series = MinuteSeries(27_000_000, tuple(values))
         buf = io.StringIO()
         write_series(buf, series)
@@ -555,8 +577,8 @@ class TestSeriesFormat:
 
     def test_rows_are_minute_and_value_repr(self):
         buf = io.StringIO()
-        write_series(buf, MinuteSeries(7, (1, 0.5, -0.0)))
-        assert buf.getvalue() == "minute,value\n7,1.0\n8,0.5\n9,-0.0\n"
+        write_series(buf, MinuteSeries(7, (1, 5, -0.0)))
+        assert buf.getvalue() == "minute,value\n7,1.0\n8,5.0\n9,-0.0\n"
 
     @pytest.mark.parametrize("text, message", [
         ("", "bad series header ''"),
@@ -564,7 +586,9 @@ class TestSeriesFormat:
         ("minute,value\n7,1.0\n9,2.0\n", "line 3: minutes are not contiguous"),
         ("minute,value\n7,1.0\n8,x\n", "line 3: bad row '8,x'"),
         ("minute,value\n7,1.0\n\n8,inf\n",
-         "line 4: minute counts must be non-negative and below 2**53, got inf"),
+         "line 4: minute counts must be integers in [0, 2**53), got inf"),
+        ("minute,value\n7,1.0\n8,0.1\n",
+         "line 3: minute counts must be integers in [0, 2**53), got 0.1"),
     ])
     def test_bad_file_names_no_path(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):

@@ -3,15 +3,18 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dnswatch import matching
-from dnswatch.detector import ThresholdSet
-from dnswatch.matching import RankIndex, Tolerance, prefix_function, scan, search, total_error
+from dnswatch import detector, matching
+from dnswatch.detector import DetectorConfig, ThresholdSet, detect_series
+from dnswatch.ingest import aggregate_all
+from dnswatch.matching import RankIndex, Tolerance, prefix_function, scan, search
+from dnswatch.synth import SynthProfile, iter_events
 
 
 def classical_prefix(pattern):
@@ -79,6 +82,19 @@ def reference_search(text, pattern, tol):
     return out
 
 
+def total_error(pattern, text, offs):
+    # The recheck of beta-soundness: the window's total absolute difference,
+    # summed afresh.
+    if offs < 0 or offs + len(pattern) > len(text):
+        raise IndexError(
+            f"window [{offs}, {offs + len(pattern)}) outside text of length {len(text)}"
+        )
+    total = 0.0
+    for i in range(len(pattern)):
+        total += abs(pattern[i] - text[offs + i])
+    return total
+
+
 def exhaustive_tolerant_scan(text, pattern, tol):
     # Leftmost non-overlapping windows whose every aligned pair is within
     # alpha and whose total error is within beta.
@@ -96,15 +112,65 @@ def exhaustive_tolerant_scan(text, pattern, tol):
     return out
 
 
-# Levels that repeat, signed zeros and the smallest subnormal among them.
+# Levels that repeat, signed zeros among them: counts, as a series holds.
 _LEVELS = st.lists(
     st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, 2.5, 3.0, 10.0]),
-        st.floats(min_value=0.0, max_value=50.0),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 10.0]),
+        st.integers(0, 50).map(float),
     ),
     min_size=1,
     max_size=12,
 )
+
+
+def _traced_scan(text, pattern, tol, lo, hi):
+    """``scan``'s starts, and a count of what it called: the prefix tables
+    it built, the tail tests it ran and those that found no end, the ranges
+    of whole blocks it jumped and the blocks in them, and the blocks whose
+    error it summed.  The spies replace the module's names; the scan itself
+    is unchanged."""
+    seen = Counter()
+    tail_ends = matching._tail_ends
+
+    def table(*args):
+        seen["tables"] += 1
+        return prefix_function(*args)
+
+    def tail(*args):
+        ends = tail_ends(*args)
+        seen["tails"] += 1
+        seen["certified"] += not ends
+        return ends
+
+    def blocks(*args):
+        if len(args) == 3:
+            seen["jumps"] += 1
+            seen["blocks"] += len(range(*args))
+        return range(*args)
+
+    def summed(*args):
+        seen["summed"] += 1
+        return functools.reduce(*args)
+
+    with mock.patch.multiple(matching, create=True, prefix_function=table, _tail_ends=tail,
+                             range=blocks, reduce=summed):
+        starts = scan(text, pattern, tol, lo, hi)
+    return starts, seen
+
+
+def _path(seen, pattern, lo, hi):
+    # the path of a traced scan, named for hypothesis' statistics
+    if len(pattern) > hi - lo:
+        return "pattern longer than the span"
+    if not seen["tables"]:
+        return "exact"
+    if not seen["tails"]:
+        return "stepped"
+    if seen["certified"]:
+        return "no tail ends"
+    if not seen["jumps"]:
+        return "candidates"
+    return "blocks summed" if seen["summed"] else "blocks under the bound"
 
 
 @st.composite
@@ -113,11 +179,12 @@ def _scan_cases(draw):
     planted in it, a tolerance whose alpha often equals the distance between
     two levels, and a span ``[lo, hi)`` of the text.  Infinite levels and
     pattern values, and infinite tolerances, reach the pairs whose
-    difference is ``inf - inf``, which is NaN."""
+    difference is ``inf - inf``, which is NaN; those and a level that is no
+    integer make the scan step."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
     levels = draw(_LEVELS, label="levels")
-    if rng.random() < 0.2:  # a text with an infinite level is stepped
-        levels = levels + rng.sample([math.inf, -math.inf], rng.randint(1, 2))
+    if rng.random() < 0.2:  # a text with a level that is no count is stepped
+        levels = levels + rng.sample([math.inf, -math.inf, 2.5], rng.randint(1, 2))
     # Patterns beyond 32 elements outlast the slice stepped after a search.
     m = draw(st.integers(1, 12) | st.integers(30, 50), label="m")
     infinite = [math.inf, -math.inf] if draw(st.booleans(), label="infinite pattern values") else []
@@ -143,7 +210,8 @@ def _scan_cases(draw):
             text.extend(rng.choice(levels) for _ in range(rng.randint(1, 40)))
     text = tuple(text[:n])
     ordered = sorted(set(text))
-    if len(ordered) >= 2 and draw(st.booleans(), label="a pattern value between two levels"):
+    # A pattern value that is no level is stepped, so it is drawn less often.
+    if len(ordered) >= 2 and draw(st.integers(0, 3), label="a pattern value between two levels") == 0:
         i = rng.randrange(len(ordered) - 1)
         pattern[rng.randrange(m)] = ordered[i] + (ordered[i + 1] - ordered[i]) / 2
     a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
@@ -168,20 +236,20 @@ def _fold(terms):
 @st.composite
 def _run_cases(draw):
     """A text of long runs over at most 256 levels, a pattern that is flat
-    but for one outlier (a level, a value between levels, NaN or an
-    infinity), and a span of at least ``_SKIP_SPAN``.  Runs of minutes close
+    but for one outlier (a level, or at times a value that is no level, which
+    is stepped), and a span of at least ``_SKIP_SPAN``.  Runs of minutes close
     to every pattern value last ``m - 1``, ``m``, ``m + 1`` or several
     blocks, and beta is drawn at ``m`` times the largest difference of a
     pattern value and such a minute, just below it and just above it."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
     if draw(st.booleans(), label="256 levels"):
-        levels = [v / 4 for v in range(256)]
+        levels = [float(v) for v in range(256)]
     else:
         levels = sorted(set(draw(_LEVELS, label="levels")))
     m = draw(st.sampled_from([1, 2, 3]) | st.integers(4, 30), label="m")
     pattern = [draw(st.sampled_from(levels), label="flat")] * m
-    outlier = draw(st.none() | st.sampled_from(levels) | st.floats(0.0, 60.0)
-                   | st.sampled_from([math.nan, math.inf, -math.inf]), label="outlier")
+    outlier = draw(st.none() | st.sampled_from(levels) | st.integers(0, 60).map(float)
+                   | st.sampled_from([2.5, math.nan, math.inf]), label="outlier")
     if outlier is not None:
         pattern[rng.randrange(m)] = outlier
     a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
@@ -232,19 +300,21 @@ def _tail_cases(draw):
     """A text over at most 12 levels stitched from copies of the pattern,
     many with one value swapped for a level not close to it, most often one
     of the last values that a full match must end on; at times a whole copy
-    ends the span, and at times it is the only one.  The pattern has ``m``
-    of 1, 2, 3 or 24 values and repeats a period of ``p``, so that
-    ``max(pi)`` runs from 0 to ``m - 1``, with NaN, an infinity or a value
-    between levels in it at times.  Alpha is at, just below or just above
-    the level gap (every level follows the span), and the span is
-    ``_SKIP_SPAN`` minus one, ``_SKIP_SPAN``, one more, or longer."""
+    ends the span, at times it is the only one, and at times each minute
+    that ends those last values is swapped for a level not close to the
+    pattern's last.  The pattern has ``m`` of 1, 2, 3 or 24 values and
+    repeats a period of ``p``, so that ``max(pi)`` runs from 0 to ``m - 1``,
+    with a value that is no level in it at times, which is stepped.  Alpha
+    is at, just below or just above the level gap (every level follows the
+    span), and the span is ``_SKIP_SPAN`` minus one, ``_SKIP_SPAN``, one
+    more, or longer."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
     levels = sorted(set(draw(_LEVELS, label="levels")))
     m = draw(st.sampled_from([1, 2, 3, 24]), label="m")
     period = draw(st.sampled_from([1, m]) | st.integers(1, m), label="period")
     base = rng.sample(levels, period) if period <= len(levels) else rng.choices(levels, k=period)
     pattern = (base * m)[:m]
-    odd = draw(st.none() | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(0.0, 60.0),
+    odd = draw(st.sampled_from([None] * 12 + [math.nan, math.inf, -math.inf, 2.5, 61.0]),
                label="a value that is no level")
     if odd is not None:
         pattern[m - 1 - min(rng.randrange(m), rng.randrange(m))] = odd
@@ -258,13 +328,14 @@ def _tail_cases(draw):
                                  matching._SKIP_SPAN + 1, 1200]), label="span")
     lo = draw(st.integers(0, 20), label="lo")
     whole = draw(st.booleans(), label="whole copies before the span's end")
+    tail = _tail(finite, alpha)
     text = []
     while len(text) < lo + span:
         r = rng.random()
         copy = list(finite)
         if r < 0.5 or (r < 0.6 and not whole):
-            # A near miss: one value swapped, most often near the end.
-            q = m - 1 - min(rng.randrange(m), rng.randrange(m))
+            # A near miss: one value swapped, most often one of the tail's.
+            q = m - 1 - rng.randrange(tail if rng.random() < 0.8 else m)
             far = [v for v in levels if not abs(v - copy[q]) <= alpha]
             copy[q] = rng.choice(far or levels)
             text.extend(copy)
@@ -277,6 +348,12 @@ def _tail_cases(draw):
     text = text[: lo + span]
     if draw(st.booleans(), label="a whole copy ends the span"):
         text[lo + span - m :] = finite
+    far = [v for v in levels if not abs(v - finite[-1]) <= alpha]
+    if far and draw(st.booleans(), label="no tail ends in the span"):
+        # Left to right, so that a swap makes no end at a later minute.
+        for i in range(lo + tail - 1, lo + span):
+            if all(abs(text[i - r] - finite[m - 1 - r]) <= alpha for r in range(tail)):
+                text[i] = rng.choice(far)
     text = tuple(text + levels)
     return text, pattern, Tolerance(alpha, beta), lo, lo + span
 
@@ -290,7 +367,9 @@ class TestScan:
         # With the threshold at 0 or 1 every span is skipped through, so
         # short texts exercise the skip as well as long ones.
         with mock.patch.object(matching, "_SKIP_SPAN", skip_span):
-            assert scan(RankIndex(text), pattern, tol, lo, hi) == want
+            starts, seen = _traced_scan(RankIndex(text), pattern, tol, lo, hi)
+            event(_path(seen, pattern, lo, hi))
+            assert starts == want
             assert scan(text, pattern, tol, lo, hi) == want
             if (lo, hi) == (0, len(text)):
                 assert search(text, pattern, tol) == want
@@ -311,10 +390,10 @@ class TestScan:
         # minute and the scan steps slice after slice, one pattern of 40
         # across several slices; the text goes on past hi.
         rng = random.Random(2024)
-        text = tuple(rng.choice([0.5, 1.0, 1.5, 2.0]) for _ in range(3000))
-        pattern = [1.0, 1.5] + [rng.choice([1.0, 1.5, 2.0]) for _ in range(m - 2)]
+        text = tuple(rng.choice([1.0, 2.0, 3.0, 4.0]) for _ in range(3000))
+        pattern = [2.0, 3.0] + [rng.choice([2.0, 3.0, 4.0]) for _ in range(m - 2)]
         # Some windows close in every minute still fail beta.
-        tol = Tolerance(1.0, 0.6 * m)
+        tol = Tolerance(2.0, 1.2 * m)
         index = RankIndex(text)
         for lo, hi in [(0, 2990), (100, 2100), (7, 2999)]:
             want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
@@ -324,19 +403,19 @@ class TestScan:
     def test_candidate_that_ends_the_span_is_stepped(self):
         # The only minute close to the pattern's first value is the span's
         # last, so stepping from it must stop at the span's end.  The
-        # 1.5 past both spans puts the level gap at alpha, so the scan takes
+        # 3 past both spans puts the level gap at alpha, so the scan takes
         # the candidate path, not the exact one.
-        text = (5.0,) * 1000 + (1.0, 1.0, 1.5)
+        text = (5.0,) * 1000 + (2.0, 2.0, 3.0)
         index = RankIndex(text)
-        tol = Tolerance(0.5, 0.0)
+        tol = Tolerance(1.0, 0.0)
         assert 1000 >= matching._SKIP_SPAN and index.codes is not None and index.gap == tol.alpha
         with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
-            assert scan(index, [1.0], tol, 0, 1001) == [1000]
-            assert scan(index, [1.0], tol, 2, 1002) == [1000, 1001]
+            assert scan(index, [2.0], tol, 0, 1001) == [1000]
+            assert scan(index, [2.0], tol, 2, 1002) == [1000, 1001]
         assert spy.call_count == 2
         # No minute past the span completes a match that its last one starts.
-        assert reference_search(text[:1001], [1.0, 1.5], Tolerance(0.5, 1.0)) == []
-        assert scan(index, [1.0, 1.5], Tolerance(0.5, 1.0), 0, 1001) == []
+        assert reference_search(text[:1001], [2.0, 3.0], Tolerance(1.0, 1.0)) == []
+        assert scan(index, [2.0, 3.0], Tolerance(1.0, 1.0), 0, 1001) == []
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_candidates_follow_their_stepped_definition(self, alpha):
@@ -368,13 +447,11 @@ class TestScan:
     def test_tails_match_the_stepped_scan(self, case):
         text, pattern, tol, lo, hi = case
         want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
-        index = RankIndex(text)
         tail = _tail(pattern, tol.alpha)
         event(f"max(pi) {'0' if tail == len(pattern) else 'm - 1' if tail == 1 else 'between'}")
-        if hi - lo >= matching._SKIP_SPAN and index.codes is not None:
-            ends = matching._tail_ends(index, pattern, tol.alpha, tail, lo, hi)
-            event("a tail ends in the span" if ends else "no tail ends in the span")
-        assert scan(index, pattern, tol, lo, hi) == want
+        starts, seen = _traced_scan(RankIndex(text), pattern, tol, lo, hi)
+        event(_path(seen, pattern, lo, hi))
+        assert starts == want
         assert scan(text, pattern, tol, lo, hi) == want
 
     @settings(max_examples=200)
@@ -407,11 +484,10 @@ class TestScan:
         assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
 
     def test_a_window_no_tail_can_end_builds_no_candidates_and_steps_nothing(self):
-        # The pattern's last three values are close to much of the noise, but
-        # the minute three before each such run is never close to 10, and
-        # the 10s planted as candidates are followed by 1 and then by 5, not
-        # by a minute close to 2.  A scan reads no value of a text it steps
-        # nothing in.
+        # Each pattern's last values occur in the text, but never in the
+        # order its tail needs: the 10s planted as candidates are followed by
+        # 1 and then by 5, never by a minute close to 2, to 5 or to 10.  A
+        # scan reads no value of a text it steps nothing in.
         class Unread(tuple):
             def __getitem__(self, key):
                 raise AssertionError(f"the scan read values[{key!r}]")
@@ -423,7 +499,7 @@ class TestScan:
         text = Unread(noise)
         index = RankIndex(text)
         tol = Tolerance(1.0, 10.0)
-        for pattern in ([10.0, 1.0, 2.0, 3.0], [10.0, 1.0, 2.0, math.nan], [1.0, 2.0, -math.inf]):
+        for pattern in ([10.0, 1.0, 2.0, 3.0], [10.0, 5.0], [0.0, 10.0, 10.0]):
             with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
                 assert scan(index, pattern, tol, 0, len(text)) == []
             assert not spy.called, pattern
@@ -539,44 +615,54 @@ class TestScan:
     def test_pattern_value_that_is_no_level_is_stepped(self):
         text = tuple(float(v) for v in [0, 1, 2, 4] * 200)
         index = RankIndex(text)
-        # The exact path builds no prefix table; the candidate path builds it
-        # even where no tail can end a match and no candidate is built.
-        for pattern in ([1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [1.5]):
-            tol = Tolerance(0.5, 10.0)
-            with mock.patch.object(matching, "prefix_function", wraps=matching.prefix_function) as spy:
-                assert scan(index, pattern, tol, 0, len(text)) == reference_search(text, pattern, tol)
-            assert spy.called
+        # Below the level gap and at it, neither on the exact path, which
+        # builds no prefix table, nor through the index.
+        for pattern in ([1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [1.5], [-1.0]):
+            for tol in (Tolerance(0.5, 10.0), Tolerance(1.0, 10.0)):
+                starts, seen = _traced_scan(index, pattern, tol, 0, len(text))
+                assert starts == reference_search(text, pattern, tol)
+                assert _path(seen, pattern, 0, len(text)) == "stepped", (pattern, tol)
+
+    @pytest.mark.parametrize("odd", [0.5, 5e-324, 2.0**51 + 0.5, math.nan, math.inf])
+    def test_levels_that_are_no_integers_are_stepped(self, odd):
+        # Only a text of integer levels gets codes, as every series is one.
+        rng = random.Random(3)
+        text = tuple(rng.choice([0.0, 1.0, 3.0, odd]) for _ in range(2000))
+        index = RankIndex(text)
+        assert index.codes is None
+        for pattern in ([1.0, 3.0, 1.0], [odd, 0.0]):
+            for tol in (Tolerance(0.0, 0.0), Tolerance(1.0, 4.0)):
+                starts, seen = _traced_scan(index, pattern, tol, 0, len(text))
+                assert starts == reference_search(text, pattern, tol)
+                assert _path(seen, pattern, 0, len(text)) == "stepped"
+        # Levels may be ints.
+        assert RankIndex((0, 1, 3) * 200).codes == bytes([0, 1, 2]) * 200
 
     @settings(max_examples=300)
     @given(case=_run_cases())
     def test_whole_blocks_match_the_stepped_scan(self, case):
         text, pattern, tol, lo, hi = case
         want = [lo + s for s in reference_search(text[lo:hi], pattern, tol)]
-        runs, fits = matching._runs(RankIndex(text), pattern, tol, lo, hi)
-        event("no runs" if not any(runs) else "under the bound" if fits else "each block summed")
-        assert scan(RankIndex(text), pattern, tol, lo, hi) == want
+        starts, seen = _traced_scan(RankIndex(text), pattern, tol, lo, hi)
+        event(_path(seen, pattern, lo, hi))
+        assert starts == want
         assert scan(text, pattern, tol, lo, hi) == want
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, math.inf])
     def test_runs_follow_their_stepped_definition(self, alpha):
-        # 1 where the minute is close to every pattern value; nothing for a
-        # pattern holding NaN or an infinity.  A block of such minutes said
-        # to fit has a total error within beta even if every term is the
-        # largest.
-        levels = (0.0, 0.5, 1.0, 2.0, 3.5)
+        # 1 where the minute is close to every pattern value, each a level.
+        # A block of such minutes said to fit has a total error within beta
+        # even if every term is the largest.
+        levels = (0.0, 1.0, 2.0, 4.0, 7.0)
         text = tuple(itertools.chain.from_iterable(itertools.permutations(levels)))
         index = RankIndex(text)
         lo, hi = 3, len(text) - 2
-        values = levels + (math.nan, math.inf, -math.inf)
-        patterns = [list(p) for m in (1, 2, 3) for p in itertools.product(values, repeat=m)]
+        patterns = [list(p) for m in (1, 2, 3) for p in itertools.product(levels, repeat=m)]
         for pattern in patterns:
             close = [x for x in text[lo:hi] if all(abs(x - p) <= alpha for p in pattern)]
             worst = max((abs(p - x) for p in pattern for x in close), default=0.0)
-            for beta in (0.0, worst * len(pattern), _fold([worst] * len(pattern)), math.inf):
+            for beta in (0.0, worst * len(pattern), math.nextafter(worst * len(pattern), 0), math.inf):
                 runs, fits = matching._runs(index, pattern, Tolerance(alpha, beta), lo, hi)
-                if not all(map(math.isfinite, pattern)):
-                    assert runs == b"", pattern
-                    continue
                 want = bytes(all(abs(x - p) <= alpha for p in pattern) for x in text[lo:hi])
                 assert (runs or bytes(hi - lo)) == want, pattern
                 if close:
@@ -584,17 +670,20 @@ class TestScan:
                     assert fits >= (beta == math.inf), (pattern, beta)
 
     def test_a_block_fits_only_within_the_rounded_bound(self):
-        # Each block of 0.2 is 0.1 from the flat pattern in every minute;
-        # folded, 24 terms of 0.1 give the double after 0.1 * 24.
-        text = ((0.2,) * 72 + (1.0,)) * 10
+        # Each block of 2 is 1 from the flat pattern in every minute, so its
+        # total error is exactly 24; the bound, rounded up, passes 24, so
+        # at beta = 24 every block is summed, and only at inf does each fit.
+        # The pattern's 1 is a level past the span.
+        text = ((2.0,) * 72 + (10.0,)) * 10 + (1.0,)
         index = RankIndex(text)
-        pattern = [0.1] * 24
-        assert _fold([0.1] * 24) == math.nextafter(0.1 * 24, math.inf)
-        for beta, blocks in [(0.1 * 24, 0), (_fold([0.1] * 24), 30), (0.1, 0), (math.inf, 30)]:
-            tol = Tolerance(0.1, beta)
+        pattern = [1.0] * 24
+        for beta, blocks, summed in [(24.0, 30, 30), (23.0, 0, 30), (1.0, 0, 30), (math.inf, 30, 0)]:
+            tol = Tolerance(1.0, beta)
             want = reference_search(text, pattern, tol)
             assert len(want) == blocks
-            assert scan(index, pattern, tol, 0, len(text)) == want
+            starts, seen = _traced_scan(index, pattern, tol, 0, len(text) - 1)
+            assert starts == want
+            assert (seen["blocks"], seen["summed"]) == (30, summed), beta
 
     def test_runs_are_built_once_for_each_window_the_certificate_passes(self):
         # Right after the candidates, whether or not the window then matches;
@@ -602,14 +691,14 @@ class TestScan:
         rng = random.Random(8)
         noise = [float(rng.choice([0, 1, 2, 3, 5, 8])) for _ in range(4000)]
         pattern = noise[2000:2024]
-        text = tuple(noise[:2000] + pattern * 3 + noise[2000:])
+        text = tuple(noise[:2000] + pattern * 3 + noise[2000:] + [40.0])
         index = RankIndex(text)
         tol = Tolerance(1.0, 12.0)
         assert index.gap == 1.0
         with mock.patch.object(matching, "_runs", wraps=matching._runs) as spy:
-            # No minute is close to 40, so no tail ends in the span.
+            # No minute of the span is close to 40, so no tail ends in it.
             for never in ([40.0] * 24, pattern[:12] + [40.0] * 12, pattern[:-1] + [40.0]):
-                assert scan(index, never, tol, 0, len(text)) == []
+                assert scan(index, never, tol, 0, len(text) - 1) == []
             # Below the level gap the pattern's codes are searched for.
             exact = Tolerance(0.5, 12.0)
             assert scan(index, pattern, exact, 0, len(text)) == reference_search(text, pattern, exact)
@@ -622,6 +711,7 @@ class TestScan:
             got = scan(index, pattern, tol, 10, len(text) - 5)
             assert len(got) >= 3 and spy.call_count == 2
             assert spy.call_args.args[1:] == (pattern, tol, 10, len(text) - 5)
+        assert reference_search(text[:-1], [40.0] * 24, tol) == []
         assert reference_search(text, alternating, tol) == []
         assert got == [10 + s for s in reference_search(text[10:-5], pattern, tol)]
 
@@ -646,8 +736,8 @@ class TestScan:
         # at every turn; patterns whose pi[1] is 1 fall back from state 2 to
         # state 1, not 0.  Every span is skipped through.
         rng = random.Random(1)
-        alphabets = [(math.inf, -math.inf, 1.0, 2.0, 3.0), (0.0, 0.5, 1.0, 1.5, 2.0, 4.0)]
-        tols = [Tolerance(0.0, 0.0), Tolerance(0.5, 1.0), Tolerance(1.0, 4.0),
+        alphabets = [(math.inf, -math.inf, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0, 4.0, 8.0)]
+        tols = [Tolerance(0.0, 0.0), Tolerance(0.5, 1.0), Tolerance(1.0, 4.0), Tolerance(2.0, 4.0),
                 Tolerance(1.0, math.inf), Tolerance(math.inf, math.inf)]
         with mock.patch.object(matching, "_SKIP_SPAN", 0):
             for _ in range(300):
@@ -701,6 +791,47 @@ class TestScan:
         assert all(b - a >= m for a, b in zip(starts, starts[1:]))
         oracle = [lo + s for s in exhaustive_tolerant_scan(text[lo:hi], pattern, tol)]
         event("agrees with the exhaustive oracle" if starts == oracle else "disagrees")
+
+
+@functools.cache
+def _three_day_series(seed):
+    # The benchmark's three-day data: gen --days 3 --high-rate 5000
+    # --low-rate 1875, with the default attacks that end within the horizon.
+    attacks = tuple(a for a in SynthProfile().attacks if a.start_minute + a.duration_minutes <= 3 * 1440)
+    return aggregate_all(iter_events(SynthProfile(3, 5000.0, 1875.0, 0.05, attacks, seed)))
+
+
+class TestPathCounts:
+    # How detect's windows go through the scan on the three-day benchmark
+    # data, counted through spies on the scan's module names: the windows
+    # matched exactly, those with no tail end, those that jump whole blocks,
+    # the blocks they jump and those under the rounded bound, the rest being
+    # summed one by one.  The digests pin the starts; these pin the paths,
+    # so that a change of the index's gate or of its data shows.
+    @pytest.mark.parametrize("seed, lookback, exact, certified, jumping, blocks, under", [
+        (1234, 1440, 331, 304, 149, 3_900, 3_152),
+        (1234, 7200, 331, 304, 149, 7_487, 6_173),
+        (4321, 1440, 328, 307, 153, 3_969, 3_289),
+        (4321, 7200, 328, 307, 153, 7_556, 6_315),
+    ])
+    def test_three_day_benchmark_windows(self, seed, lookback, exact, certified, jumping, blocks,
+                                         under):
+        got = Counter()
+
+        def traced(text, pattern, tol, lo, hi):
+            starts, seen = _traced_scan(text, pattern, tol, lo, hi)
+            got[_path(seen, pattern, lo, hi)] += 1
+            got["jumping"] += bool(seen["jumps"])
+            got["blocks"] += seen["blocks"]
+            got["summed"] += seen["summed"]
+            return starts
+
+        series = _three_day_series(seed)
+        with mock.patch.object(detector, "scan", traced):
+            for key in sorted(series):
+                detect_series(series[key], DetectorConfig(lookback=lookback))
+        assert (got["exact"], got["no tail ends"], got["jumping"]) == (exact, certified, jumping)
+        assert (got["blocks"], got["blocks"] - got["summed"]) == (blocks, under)
 
 
 class TestPrefixFunction:

@@ -161,13 +161,24 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "no-codes-for-infinite-levels",
+        "no-codes-for-levels-that-are-no-integers",
         "matching.py",
-        "if len(self.levels) > 256 or not all(map(isfinite, self.levels)):",
+        "if len(self.levels) > 256 or not all(float(v).is_integer() for v in self.levels):",
         "if len(self.levels) > 256:",
         (
             "tests/test_matching.py::TestScan::test_infinite_levels_are_stepped",
             "tests/test_matching.py::TestScan::test_nan_in_the_text_is_stepped",
+            "tests/test_matching.py::TestScan::test_levels_that_are_no_integers_are_stepped[0.5]",
+        ),
+    ),
+    Mutant(
+        "index-only-for-a-pattern-of-levels",
+        "matching.py",
+        "if codes is not None and not all(map(text.ranks.__contains__, pat)):",
+        "if codes is not None and False:",
+        (
+            "tests/test_matching.py::TestScan::test_pattern_value_that_is_no_level_is_stepped",
+            _SCAN_EXACT,
         ),
     ),
     Mutant(
@@ -176,13 +187,6 @@ MUTANTS = [
         "first = index.code_range(top, tol.alpha)[0]",
         "first = index.code_range(bottom, tol.alpha)[0]",
         (_RUNS_DEFINED.format(alpha=1.0), _WHOLE_BLOCKS),
-    ),
-    Mutant(
-        "runs-only-for-finite-patterns",
-        "matching.py",
-        "    if not all(map(isfinite, pattern)):\n        return b\"\", False",
-        "    if False:\n        return b\"\", False",
-        (_RUNS_DEFINED.format(alpha=0.5),),
     ),
     Mutant(
         "block-bound-counts-every-term",
@@ -211,6 +215,27 @@ MUTANTS = [
         "i += n * m\n",
         "i += n * m + 1\n",
         (_WHOLE_BLOCKS,),
+    ),
+    # model
+    Mutant(
+        "series-counts-are-integers",
+        "model.py",
+        "return all(map(float.is_integer, vals)) and (",
+        "return (",
+        (
+            "tests/test_model.py::TestMinuteSeries::test_rejects_counts_that_are_no_integers",
+            "tests/test_cli.py::TestSeriesLoader::"
+            "test_count_out_of_range_is_named_by_its_line_number[as-written-1.5]",
+        ),
+    ),
+    Mutant(
+        "series-names-the-first-count-that-is-no-integer",
+        "model.py",
+        "if not _counts((float(v),))",
+        "if not _counts((float(v) // 1,))",
+        (
+            "tests/test_cli.py::TestSeriesLoader::test_rejected_series_file_is_named[non-integer]",
+        ),
     ),
     # detector
     Mutant(
