@@ -19,6 +19,7 @@ import dataclasses
 import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
+from contextlib import suppress
 from itertools import islice
 from pathlib import PurePath
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -69,22 +70,22 @@ class GroundTruthInterval:
             raise ValueError("interval end before start")
 
 
-_RUNS_ON = "quoted field does not end on its line"
-
-
-def _first_failure(lines: Sequence[str]) -> tuple[int, str]:
-    """The index of the first of ``lines`` that ``csv`` rejects read alone,
-    and its error; when it rejects none, that of the first whose quoted field
-    does not end on its line, which read alone swallows the empty line read
-    after it.  Called only where ``csv`` failed on ``lines`` read together,
-    or one of their fields ran on, so one of them fails alone."""
+def _first_failure(lines: Sequence[str]) -> tuple[int, int, str]:
+    """The index of the first of ``lines`` that fails read alone, and the
+    index and error of the line to name.  A line fails alone when ``csv``
+    rejects it, or when its quoted field does not end on it and so swallows
+    the empty line read after it.  The line named is the first that ``csv``
+    rejects, or else the first that runs on.  Called only where ``csv``
+    failed on ``lines`` read together, or one of their fields ran on, so
+    one of them fails alone."""
+    runs_on = []
     for i, line in enumerate(lines):
         try:
-            next(csv.reader([line]), None)
+            if len(list(csv.reader([line, ""]))) < 2:
+                runs_on.append(i)
         except csv.Error as exc:
-            return i, str(exc)
-    runs_on = next(i for i, line in enumerate(lines) if len(list(csv.reader([line, ""]))) < 2)
-    return runs_on, _RUNS_ON
+            return min(runs_on, default=i), i, str(exc)
+    return runs_on[0], runs_on[0], "quoted field does not end on its line"
 
 
 def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
@@ -96,10 +97,11 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
     occur in the block.  No field holds a line break, so a row is one line.
     Raises :class:`ParseError` on the first bad line of the file, a quoted
     field that does not end on its line among them.  Where ``csv`` itself
-    stops on a line (a field over its size limit), it names the first line
-    up to that one that ``csv`` rejects read alone; when there is none, a
-    quoted field ran on into that line, and it names the line the field
-    starts on.  Lines are numbered from the header, line 1.
+    stops on a line (a field over its size limit), the rows before the first
+    line that fails read alone are checked first; then it names the first
+    line up to that one that ``csv`` rejects read alone, or, when there is
+    none, the line whose quoted field ran on into it.  Lines are numbered
+    from the header, line 1.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -118,14 +120,13 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
         # when every field ends on its line.
         keys = [*counts, ""]
         reader = csv.reader(keys)
-        try:
-            rows = list(reader)
-        except csv.Error:
-            at, why = _first_failure(keys[: reader.line_num])
-            raise ParseError(f"line {first + block.index(keys[at])}: {why}") from None
-        end = len(counts)  # the rows before the first that runs on
+        rows: list[list[str]] = []
+        with suppress(csv.Error):  # the rows read before the error are kept
+            rows.extend(reader)
+        end = len(counts)  # the rows before the first line that fails alone
+        # csv stopped, or a quoted field ran on into the empty line
         if len(rows) <= end:
-            end = _first_failure(keys)[0]
+            end, at, why = _first_failure(keys[: reader.line_num])
             del rows[end:]
         # a bad row's first distinct line is the block's first bad line
         lineno = lambda row: first + block.index(keys[rows.index(row)])
@@ -166,7 +167,7 @@ def parse_events(stream: IO[str]) -> Iterator[DnsEventRecord]:
             # generated Python-level __new__ for every row
             yield new(DnsEventRecord, (ts, src, dst, direction, malformed == "1", count))
         if end < len(counts):
-            raise ParseError(f"line {first + block.index(keys[end])}: {_RUNS_ON}")
+            raise ParseError(f"line {first + block.index(keys[at])}: {why}")
         first += len(block)
 
 
@@ -201,7 +202,8 @@ def parse_ground_truth(stream: IO[str]) -> list[GroundTruthInterval]:
         header = next(reader, None)
         if header != TRUTH_HEADER:
             raise ParseError(f"bad truth header: expected {','.join(TRUTH_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted label may span lines
             if not row:
                 continue
             if len(row) != 3:

@@ -47,8 +47,8 @@ is then close to itself, so no run of ranks is empty.
   from it the state climbs from some ``q <= max(pi)`` to ``m`` one element
   at a time (from 0 if there is none since the last reset or the span's
   start).  So ``x[i - r]`` is close to ``P[m - 1 - r]`` for every ``r < L``.
-  The index keeps, for the last ranks ``r`` the scans asked about, a bit
-  per element set where the code is at most ``r``; the elements close to
+  The index keeps, for each rank ``r`` a scan asks about, a bit per
+  element set where the code is at most ``r``; the elements close to
   ``P[q]`` are one of those bitsets less a smaller one, sliced to the span's
   bytes.  Shifted by ``r`` and ANDed over ``r < L`` (a Shift-And test of the
   aligned suffix, after Baeza-Yates and Gonnet), they leave the possible
@@ -152,14 +152,6 @@ def prefix_function(pattern: Sequence[float], alpha: float) -> list[int]:
     return ret
 
 
-# The bitsets a RankIndex keeps, each of a bit per element.  _tail_ends
-# reads at most two per value of a window's tail, and the tail is at most
-# the pattern, 24 minutes at the default k.  The tails of nearby windows
-# share ranks: at 64, the ten-day series of up to 164 levels rebuilt so
-# many that _predict_asm at lookback 1440 took half as long again.
-_AT_MOST_KEPT = 128
-
-
 class RankIndex:
     """A sequence of values, also written as one byte per element.
 
@@ -170,13 +162,12 @@ class RankIndex:
     is ``None`` when there are more than 256 levels, or when a level is not
     an integer, which no count is.  All are built on first use, and so is
     each bitset of :meth:`at_most`, so a sequence that is only ever scanned
-    over short spans never pays for them.  Only the ``_AT_MOST_KEPT``
-    bitsets used last are kept.
+    over short spans never pays for them.
     """
 
     def __init__(self, values: Sequence[float]) -> None:
         self.values = values
-        self._at_most: dict[int, bytes] = {}  # the least recently used first
+        self._at_most: dict[int, bytes] = {}
 
     @cached_property
     def levels(self) -> list[float]:
@@ -209,18 +200,14 @@ class RankIndex:
     def at_most(self, r: int) -> bytes:
         """A bit per element, set where its code is at most ``r``, packed
         eight to a byte with element 0 in the first byte's top bit; built on
-        first use for each rank, and again once it has been evicted."""
-        kept = self._at_most
-        bits = kept.pop(r, None)  # reinserted below, as the newest
+        first use for each rank, and kept."""
+        bits = self._at_most.get(r)
         if bits is None:
             table = b"1" * (r + 1) + b"0" * (255 - r)
             n = len(self.codes)
             # int() reads the ASCII digits as one base-2 number, element 0 first.
             packed = int(self.codes.translate(table), 2) << (-n % 8)
-            bits = packed.to_bytes((n + 7) // 8, "big")
-            if len(kept) >= _AT_MOST_KEPT:
-                del kept[next(iter(kept))]  # the least recently used
-        kept[r] = bits
+            bits = self._at_most[r] = packed.to_bytes((n + 7) // 8, "big")
         return bits
 
 

@@ -326,15 +326,15 @@ def _hex(pred):
     return None if pred is None else [float.hex(v) for v in pred]
 
 
-# Zero runs of mixed signed zeros between short bursts of non-zero values,
-# non-integers and the smallest subnormal among them.
+# Zero runs of mixed signed zeros between short bursts of non-zero counts,
+# some near 2**52 so that their sums round and the order of summation shows.
 _SPARSE = st.lists(
     st.tuples(
         st.lists(st.sampled_from([0.0, -0.0]), max_size=90),
         st.lists(
             st.one_of(
-                st.sampled_from([5e-324, 0.1, 1.0, 2.5]),
-                st.floats(min_value=5e-324, max_value=1e4),
+                st.sampled_from([1.0, 2.0, 2.0**52 - 1, 2.0**52 + 1]),
+                st.integers(1, 2**53 - 1).map(float),
             ),
             min_size=1,
             max_size=3,

@@ -193,6 +193,7 @@ def _random_events(rng):
 
 def _block_edge_cases():
     good, bad, quoted = _GOOD_ROWS[0] + "\n", _BAD_ROWS[3] + "\n", _QUOTED_ROWS[0] + "\n"
+    big = f"60,{'1' * 200_000},b,tx,0\n"  # over csv's field limit
     return {
         "runs-cross-block-edges": [good] * 1000 + [_GOOD_ROWS[1] + "\n"] * 1100 + [good] * 30,
         "crlf-and-lf-of-one-row": [good, _GOOD_ROWS[0] + "\r\n"] * 700,
@@ -204,6 +205,9 @@ def _block_edge_cases():
         "bad-row-repeated-in-its-block": [good] * 1500 + [bad, good, bad] + [good] * 10,
         "bad-row-first-in-later-block": [good] * 2048 + [bad] + [good] * 10,
         "bad-row-after-many-copies": [good] * 1100 + [_GOOD_ROWS[2] + "\n"] * 900 + [bad, bad],
+        # csv stops on the wide line, after reading the bad row ahead of it
+        "bad-row-then-a-field-over-the-limit": [good, bad, big],
+        "bad-row-a-line-before-a-field-over-the-limit": [good, bad, _GOOD_ROWS[1] + "\n", big],
     }
 
 
@@ -259,8 +263,10 @@ class TestCountedRuns:
         ("start_minute,end_minute,label\n5,2,a\n", "line 2: end_minute 2 before start_minute 5"),
         ("start_minute,end_minute,label\n\n1,2,a\n5,2,a\n",
          "line 4: end_minute 2 before start_minute 5"),
+        ('start_minute,end_minute,label\n1,2,"multi\nline"\n5,2,x\n',
+         "line 4: end_minute 2 before start_minute 5"),
     ], ids=["header-without-label", "two-fields", "minute-x", "minute-1.5", "end-before-start",
-            "after-a-blank-line"])
+            "after-a-blank-line", "after-a-label-of-two-lines"])
     def test_bad_truth_names_its_line(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_ground_truth(io.StringIO(text))
@@ -282,6 +288,8 @@ class TestCountedRuns:
             (big, 1),
             (EVENTS_HEADER + good * 1500 + big, 1502),
             (EVENTS_HEADER + good * 3 + quoted + good + big, 8),
+            # the row that such a field closes on a later line is not checked
+            (EVENTS_HEADER + good + '60,"a\n' + 'b",c,xx,0\n' + big, 5),
         ]:
             with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
                 list(parse_events(io.StringIO(text, newline="")))

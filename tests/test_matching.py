@@ -519,24 +519,9 @@ class TestScan:
             got = [bits[k // 8] >> (7 - k % 8) & 1 for k in range(8 * len(bits))]
             assert got == [int(c <= r) for c in index.codes] + [0] * (-n % 8), r
             assert index.at_most(r) is bits  # built once
-
-    def test_a_bitset_rebuilt_after_eviction_equals_the_first_one_built(self):
-        rng = random.Random(11)
-        text = tuple(float(v) for v in range(256)) + tuple(float(rng.randrange(256)) for _ in range(700))
-        index = RankIndex(text)
-        first = index.at_most(0)
-        kept = matching._AT_MOST_KEPT
-        for r in range(1, kept):
-            index.at_most(r)
-        assert index.at_most(0) is first  # used again, so now the newest
-        index.at_most(kept)  # evicts rank 1, the least recently used
-        assert 0 in index._at_most and 1 not in index._at_most
-        for r in range(kept + 1, 256):
-            index.at_most(r)
-        assert len(index._at_most) == kept
-        assert 0 not in index._at_most
-        rebuilt = index.at_most(0)
-        assert rebuilt is not first and rebuilt == first
+        built = [index.at_most(r) for r in range(n_levels)]
+        # every rank's bitset is kept once all of them have been asked for
+        assert all(index.at_most(r) is bits for r, bits in enumerate(built))
 
     @pytest.mark.parametrize("n_levels", [1, 2, 37, 200, 256])
     def test_codes_are_the_ranks_of_at_most_256_levels(self, n_levels):

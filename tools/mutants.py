@@ -432,6 +432,26 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "events-rows-read-before-a-csv-error-are-checked",
+        "ingest.py",
+        "        with suppress(csv.Error):  # the rows read before the error are kept\n"
+        "            rows.extend(reader)\n",
+        "        try:\n            rows.extend(reader)\n        except csv.Error:\n            rows.clear()\n",
+        (
+            "tests/test_ingest.py::TestCountedRuns::"
+            "test_block_edge_case[bad-row-then-a-field-over-the-limit]",
+        ),
+    ),
+    Mutant(
+        "truth-rows-are-named-by-their-physical-line",
+        "ingest.py",
+        "        for row in reader:\n            lineno = reader.line_num  # a quoted label may span lines\n",
+        "        for lineno, row in enumerate(reader, start=2):\n",
+        (
+            "tests/test_ingest.py::TestCountedRuns::test_bad_truth_names_its_line",
+        ),
+    ),
+    Mutant(
         "events-record-carries-its-count",
         "ingest.py",
         "malformed == \"1\", count))",
