@@ -202,8 +202,11 @@ def parse_ground_truth(stream: IO[str]) -> list[GroundTruthInterval]:
         header = next(reader, None)
         if header != TRUTH_HEADER:
             raise ParseError(f"bad truth header: expected {','.join(TRUTH_HEADER)}, got {header}")
+        # A row is named by the line it starts on, the one after the last
+        # line of the row before it: a quoted label may span lines.
+        after = reader.line_num + 1
         for row in reader:
-            lineno = reader.line_num  # a quoted label may span lines
+            lineno, after = after, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 3:

@@ -54,10 +54,8 @@ is then close to itself, so no run of ranks is empty.
   aligned suffix, after Baeza-Yates and Gonnet), they leave the possible
   ends in ``[lo + L - 1, hi)``.  None means no full match, so the scan returns
   ``[]``; the exact path and the block jump return what stepping returns, so
-  they agree.  In the three-day benchmark data this answers 304 (seed 1234)
-  and 307 (seed 4321) of the 1,253 windows at each of lookbacks 1440 and
-  7200, every ``C:`` window that would build candidates, and 1,126 and 923
-  of the 4,193 ten-day windows.
+  they agree.  In the three-day benchmark data it answers every ``C:``
+  window that would build candidates.
 * **Whole blocks.**  Once the certificate passes, the scan translates the
   span once more, into its runs: 1 where an element is close to *every*
   value of ``P``.  ``code_range`` is monotone in ``p``, so those are the
@@ -72,31 +70,30 @@ is then close to itself, so no run of ranks is empty.
   ``m * worst * (1 + 2**-53) ** (m - 1)``; when
   ``worst * m * (1 + m * 2**-51) <= beta`` every block is a start, and
   otherwise each block's error is summed from the hot loop's terms in its
-  order.  The flat patterns of ``A`` take this path: in the three-day
-  benchmark data, 149 (seed 1234) and 153 (seed 4321) of the 1,253 windows
-  at each of lookbacks 1440 and 7200, and 566 of the 4,193 ten-day windows;
-  none at lookback 58, whose spans are stepped.
+  order.  The flat patterns of ``A`` take this path at lookbacks 1440 and
+  7200; none at lookback 58, whose spans are stepped.
 
-Matching exactly.  When ``alpha`` is below the index's ``gap``, the smallest
-difference of two adjacent levels, the scan neither builds candidates nor
-steps: it returns the non-overlapping occurrences of ``P``'s codes in the
-span's codes, one ``bytes.find`` each, the next searched from the previous
-start plus ``len(P)``.  The starts are the same:
+Matching exactly.  When ``alpha`` is below 1, the scan neither builds
+candidates nor steps: it returns the non-overlapping occurrences of ``P``'s
+codes in the span's codes, one ``bytes.find`` each, the next searched from
+the previous start plus ``len(P)``.  The starts are the same:
 
-* correctly rounded subtraction is monotone, so two distinct levels differ
-  by at least ``gap > alpha``, and the scan finds ``x`` close to a level
-  ``p`` exactly when ``x == p``, that is, when their codes are equal
-  (``-0.0`` ranks as ``0.0``, and their difference is 0);
+* the index codes only levels that are integers, each equal to a float, so
+  two distinct levels differ by at least 1, and a difference of at least 1
+  rounds to at least 1; the scan finds ``x`` close to a level ``p`` exactly
+  when ``x == p``, that is, when their codes are equal (``-0.0`` ranks as
+  ``0.0``, and their difference is 0);
 * the prefix table is then the classical one, and a KMP that resets after
   every full match reports the leftmost non-overlapping occurrences, which
   is what the repeated searches find;
 * each occurrence has a total error of ``0.0 <= beta``.
 
-At ``alpha == gap`` the scan keeps to its candidates.  Low per-IP counts
-take this path: in the three-day benchmark data, 331 (seed 1234) and 328
-(seed 4321) of the windows scanned through an index at each of lookbacks
-1440 and 7200, all of them in the ``C:`` series.  ``TestPathCounts`` in
-``tests/test_matching.py`` pins the three-day counts of every path.
+At ``alpha == 1`` the scan keeps to its candidates, and so does a text
+whose levels are all 2 or more apart at any ``alpha`` from 1 up to their
+smallest difference, although only equal values are close there too.
+Windows of low per-IP counts, all in the ``C:`` series, take the exact path.
+``TestPathCounts`` in ``tests/test_matching.py`` pins how many windows take
+each path, on the three-day benchmark data and on CI's ten-day data.
 
 The index costs one byte per element plus the sorted levels, and
 ``O(n log L)`` to build for ``n`` elements with ``L`` levels, and an eighth
@@ -104,14 +101,14 @@ of a byte per element for each rank whose bitset a scan reads, so only a
 caller that scans one text many times keeps one and pays that; :func:`scan`
 skips only through a :class:`RankIndex` it is given, and :func:`search`
 steps its text.  A text of more than 256 levels, or of a level that is no
-integer, gets no bytes and is stepped, and so is a pattern with a value that
-is no level, so that :func:`scan` is :func:`search` for any text.
+integer a float equals, gets no bytes and is stepped, and so is a pattern
+with a value that is no level, so that :func:`scan` is :func:`search` for
+any text.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import inf
 from operator import add, sub
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -157,10 +154,10 @@ class RankIndex:
 
     ``levels`` are the distinct values in ascending order, ``ranks`` maps
     each to its rank, and the byte of an element is the rank of its value.
-    ``gap`` is the smallest difference of two adjacent levels, subtracted as
-    the scan subtracts; below it, the scan matches codes exactly.  ``codes``
-    is ``None`` when there are more than 256 levels, or when a level is not
-    an integer, which no count is.  All are built on first use, and so is
+    ``codes`` is ``None`` when there are more than 256 levels, or when a
+    level is not an integer that a float equals, which no count is; so two
+    levels with codes differ by at least 1, and below that the scan matches
+    codes exactly.  All are built on first use, and so is
     each bitset of :meth:`at_most`, so a sequence that is only ever scanned
     over short spans never pays for them.
     """
@@ -180,16 +177,16 @@ class RankIndex:
 
     @cached_property
     def codes(self) -> Optional[bytes]:
-        # is_integer is false for NaN and the infinities; levels may be ints
-        if len(self.levels) > 256 or not all(float(v).is_integer() for v in self.levels):
+        # The exact path of scan is correct because this gate admits only
+        # integer levels, which differ by at least 1 when distinct.  Levels
+        # may be ints, and an int that no float equals would round where the
+        # scan subtracts it from a float; is_integer is false for NaN and the
+        # infinities.
+        if len(self.levels) > 256 or not all(
+            float(v) == v and float(v).is_integer() for v in self.levels
+        ):
             return None
         return bytes(map(self.ranks.__getitem__, self.values))
-
-    @cached_property
-    def gap(self) -> float:
-        """The smallest difference of two adjacent levels, subtracted as the
-        scan subtracts; ``inf`` for fewer than two levels."""
-        return min(map(sub, self.levels[1:], self.levels[:-1]), default=inf)
 
     def code_range(self, p: float, alpha: float) -> tuple[int, int]:
         """``range(first, end)`` of the ranks of the levels that the scan
@@ -293,8 +290,8 @@ def scan(
     is stepped, or a :class:`RankIndex` of one, through which spans of
     ``_SKIP_SPAN`` or more return at once when no pattern tail ends in them,
     skip their state-0 stretches in C and jump whole blocks of elements
-    close to every pattern value, or, below the index's ``gap``, are
-    searched for the pattern's codes.
+    close to every pattern value, or, at an ``alpha`` below 1, are searched
+    for the pattern's codes.
     """
     indexed = isinstance(text, RankIndex)
     values = text.values if indexed else text
@@ -314,10 +311,12 @@ def scan(
     codes = text.codes if indexed and span >= _SKIP_SPAN else None
     if codes is not None and not all(map(text.ranks.__contains__, pat)):
         codes = None  # a pattern of levels has each value close to its own code
-    if codes is not None and alpha < text.gap:
-        # Below the level gap only equal values are close, and every match
-        # has total error 0.0: the scan is classical KMP, resetting after each
-        # full match, which finds what repeated searches for the codes find.
+    if codes is not None and alpha < 1:
+        # Codes exist only for integer levels, so distinct levels differ by
+        # at least 1 > alpha: only equal values are close, and every match
+        # has total error 0.0.  The scan is classical KMP, resetting after
+        # each full match, which finds what repeated searches for the codes
+        # find.
         needle = bytes(map(text.ranks.__getitem__, pat))
         found: list[int] = []
         start = codes.find(needle, lo, hi)

@@ -265,8 +265,10 @@ class TestCountedRuns:
          "line 4: end_minute 2 before start_minute 5"),
         ('start_minute,end_minute,label\n1,2,"multi\nline"\n5,2,x\n',
          "line 4: end_minute 2 before start_minute 5"),
+        ('start_minute,end_minute,label\n5,2,"multi\nline"\n',
+         "line 2: end_minute 2 before start_minute 5"),
     ], ids=["header-without-label", "two-fields", "minute-x", "minute-1.5", "end-before-start",
-            "after-a-blank-line", "after-a-label-of-two-lines"])
+            "after-a-blank-line", "after-a-label-of-two-lines", "with-a-label-of-two-lines"])
     def test_bad_truth_names_its_line(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_ground_truth(io.StringIO(text))

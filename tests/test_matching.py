@@ -215,9 +215,11 @@ def _scan_cases(draw):
         i = rng.randrange(len(ordered) - 1)
         pattern[rng.randrange(m)] = ordered[i] + (ordered[i + 1] - ordered[i]) / 2
     a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
-    # Below the text's smallest level gap only equal values are close.
+    # Below 1 the codes are searched for; below the text's smallest level gap
+    # only equal values are close too, but from 1 on the scan steps.
     level_gap = min((y - x for x, y in zip(ordered, ordered[1:])), default=math.inf)
-    gaps = [abs(a - b), abs(a - b) * 2, level_gap, math.nextafter(level_gap, 0), level_gap / 2]
+    gaps = [abs(a - b), abs(a - b) * 2, level_gap, math.nextafter(level_gap, 0), level_gap / 2,
+            1.0, math.nextafter(1.0, 0), math.nextafter(1.0, math.inf)]
     alpha = draw(st.sampled_from([0.0, *(g for g in gaps if not math.isnan(g)), 1e9, math.inf]),
                  label="alpha")
     beta = draw(st.sampled_from([0.0, alpha * m / 2, alpha * m, 1e12, math.inf]), label="beta")
@@ -305,9 +307,9 @@ def _tail_cases(draw):
     pattern's last.  The pattern has ``m`` of 1, 2, 3 or 24 values and
     repeats a period of ``p``, so that ``max(pi)`` runs from 0 to ``m - 1``,
     with a value that is no level in it at times, which is stepped.  Alpha
-    is at, just below or just above the level gap (every level follows the
-    span), and the span is ``_SKIP_SPAN`` minus one, ``_SKIP_SPAN``, one
-    more, or longer."""
+    is at, just below or just above 1, where the exact path ends, or the
+    smallest gap of the levels (every level follows the span), and the span
+    is ``_SKIP_SPAN`` minus one, ``_SKIP_SPAN``, one more, or longer."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
     levels = sorted(set(draw(_LEVELS, label="levels")))
     m = draw(st.sampled_from([1, 2, 3, 24]), label="m")
@@ -318,9 +320,10 @@ def _tail_cases(draw):
                label="a value that is no level")
     if odd is not None:
         pattern[m - 1 - min(rng.randrange(m), rng.randrange(m))] = odd
-    gap = RankIndex(levels).gap
+    gap = min((y - x for x, y in zip(levels, levels[1:])), default=math.inf)
     a, b = draw(st.sampled_from(levels), label="a"), draw(st.sampled_from(levels), label="b")
-    alpha = draw(st.sampled_from([0.0, gap, math.nextafter(gap, 0), math.nextafter(gap, math.inf),
+    alpha = draw(st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0), math.nextafter(1.0, math.inf),
+                                  gap, math.nextafter(gap, 0), math.nextafter(gap, math.inf),
                                   abs(a - b), math.inf]), label="alpha")
     beta = draw(st.sampled_from([0.0, alpha * m / 2, 1e12, math.inf]), label="beta")
     finite = [p if math.isfinite(p) else rng.choice(levels) for p in pattern]
@@ -402,13 +405,13 @@ class TestScan:
 
     def test_candidate_that_ends_the_span_is_stepped(self):
         # The only minute close to the pattern's first value is the span's
-        # last, so stepping from it must stop at the span's end.  The
-        # 3 past both spans puts the level gap at alpha, so the scan takes
-        # the candidate path, not the exact one.
+        # last, so stepping from it must stop at the span's end.  At alpha 1
+        # the scan takes the candidate path, not the exact one; the 3 past
+        # both spans is a level for the pattern of two.
         text = (5.0,) * 1000 + (2.0, 2.0, 3.0)
         index = RankIndex(text)
         tol = Tolerance(1.0, 0.0)
-        assert 1000 >= matching._SKIP_SPAN and index.codes is not None and index.gap == tol.alpha
+        assert 1000 >= matching._SKIP_SPAN and index.codes is not None
         with mock.patch.object(matching, "_candidates", wraps=matching._candidates) as spy:
             assert scan(index, [2.0], tol, 0, 1001) == [1000]
             assert scan(index, [2.0], tol, 2, 1002) == [1000, 1001]
@@ -478,7 +481,7 @@ class TestScan:
         pattern = [0.0, 1.0, 2.0, 5.0]
         text = (20.0,) * 600 + (0.0, 1.0, 3.0, 3.0, 5.0) + (20.0,) * 5
         tol = Tolerance(1.0, 4.0)
-        assert _tail(pattern, tol.alpha) == 2 and RankIndex(text).gap <= tol.alpha
+        assert _tail(pattern, tol.alpha) == 2
         want = reference_search(text, pattern, tol)
         assert want == [601] and abs(text[602] - pattern[1]) > tol.alpha
         assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
@@ -553,10 +556,7 @@ class TestScan:
                 assert want
                 assert scan(RankIndex(text), pattern, tol, 0, len(text)) == want
 
-    def test_gap_is_the_smallest_difference_of_adjacent_levels(self):
-        assert RankIndex((6.0, 0.0, 3.0, 1.0, 0.0)).gap == 1.0
-        assert RankIndex((0.1, 0.3, 0.7)).gap == 0.3 - 0.1  # as the scan subtracts
-        assert RankIndex((2.0,) * 5).gap == math.inf
+    def test_negative_zero_has_the_code_of_zero(self):
         index = RankIndex((0.0, -0.0, 1.0))
         assert index.ranks == {0.0: 0, 1.0: 1} and index.ranks[-0.0] == 0
         assert index.codes == bytes([0, 0, 1])
@@ -567,8 +567,8 @@ class TestScan:
         ((0.0,) * 300 + (1.0, 0.0) * 150, [0.0, 1.0, 0.0, 1.0]),
     ])
     def test_exact_path_reports_non_overlapping_occurrences(self, text, pattern):
-        # Periodic texts overlap every occurrence with the next; below the
-        # level gap the scan takes the leftmost, as the stepped scan does.
+        # Periodic texts overlap every occurrence with the next; below alpha
+        # 1 the scan takes the leftmost, as the stepped scan does.
         index = RankIndex(text)
         for lo, hi in [(0, len(text)), (1, 599), (3, 600)]:
             want = [lo + s for s in reference_search(text[lo:hi], pattern, Tolerance(0.0, 0.0))]
@@ -577,13 +577,11 @@ class TestScan:
                 assert scan(index, pattern, Tolerance(alpha, 0.0), lo, hi) == want
 
     def test_exact_path_skips_candidates_and_the_prefix_table(self):
-        # A C-like series: low counts, mostly 0, with a gap of 1 between its
-        # levels.  Below the gap the codes are searched directly; at the gap
-        # the scan builds candidates and steps.
+        # A C-like series: low counts, mostly 0.  Below alpha 1 the codes are
+        # searched directly; at 1 the scan builds candidates and steps.
         rng = random.Random(5)
         text = tuple(float(rng.choice([0, 0, 0, 0, 1, 1, 2, 3, 5])) for _ in range(4000))
         index = RankIndex(text)
-        assert index.gap == 1.0
         pattern = text[2000:2024]
         for alpha, stepped in [(0.0, False), (math.nextafter(1.0, 0), False), (1.0, True)]:
             tol = Tolerance(alpha, 3.0)
@@ -597,11 +595,26 @@ class TestScan:
             assert got == reference_search(text[:3000], pattern, tol)
             assert got
 
+    def test_sparse_levels_match_exactly_only_below_1(self):
+        # Levels 5 apart: at alpha 2 only equal values are close as well, but
+        # the scan searches the codes only below 1 and steps from its
+        # candidates at 2, to the same starts.
+        rng = random.Random(6)
+        text = tuple(float(rng.choice([0, 0, 5, 10])) for _ in range(3000))
+        index = RankIndex(text)
+        pattern = text[1000:1012]
+        for alpha, path in [(0.5, "exact"), (2.0, "candidates")]:
+            tol = Tolerance(alpha, 0.0)
+            starts, seen = _traced_scan(index, pattern, tol, 0, len(text))
+            assert starts == reference_search(text, pattern, tol)
+            assert _path(seen, pattern, 0, len(text)) == path, alpha
+            assert 1000 in starts
+
     def test_pattern_value_that_is_no_level_is_stepped(self):
         text = tuple(float(v) for v in [0, 1, 2, 4] * 200)
         index = RankIndex(text)
-        # Below the level gap and at it, neither on the exact path, which
-        # builds no prefix table, nor through the index.
+        # Below alpha 1 and at it, neither on the exact path, which builds no
+        # prefix table, nor through the index.
         for pattern in ([1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0], [1.5], [-1.0]):
             for tol in (Tolerance(0.5, 10.0), Tolerance(1.0, 10.0)):
                 starts, seen = _traced_scan(index, pattern, tol, 0, len(text))
@@ -622,6 +635,16 @@ class TestScan:
                 assert _path(seen, pattern, 0, len(text)) == "stepped"
         # Levels may be ints.
         assert RankIndex((0, 1, 3) * 200).codes == bytes([0, 1, 2]) * 200
+
+    def test_an_int_that_no_float_equals_is_stepped(self):
+        # The scan subtracts 2.0**53 from 2**53 + 1 as from 2.0**53, so it
+        # finds the two levels close at alpha 0.5, where codes would not.
+        text = (2**53 + 1, 2.0**53) * 300
+        tol = Tolerance(0.5, 0.0)
+        assert RankIndex(text).codes is None
+        want = reference_search(text, [2**53 + 1], tol)
+        assert want == list(range(600))
+        assert scan(RankIndex(text), [2**53 + 1], tol, 0, 600) == want
 
     @settings(max_examples=300)
     @given(case=_run_cases())
@@ -679,12 +702,11 @@ class TestScan:
         text = tuple(noise[:2000] + pattern * 3 + noise[2000:] + [40.0])
         index = RankIndex(text)
         tol = Tolerance(1.0, 12.0)
-        assert index.gap == 1.0
         with mock.patch.object(matching, "_runs", wraps=matching._runs) as spy:
             # No minute of the span is close to 40, so no tail ends in it.
             for never in ([40.0] * 24, pattern[:12] + [40.0] * 12, pattern[:-1] + [40.0]):
                 assert scan(index, never, tol, 0, len(text) - 1) == []
-            # Below the level gap the pattern's codes are searched for.
+            # Below alpha 1 the pattern's codes are searched for.
             exact = Tolerance(0.5, 12.0)
             assert scan(index, pattern, exact, 0, len(text)) == reference_search(text, pattern, exact)
             assert not spy.called
@@ -786,13 +808,39 @@ def _three_day_series(seed):
     return aggregate_all(iter_events(SynthProfile(3, 5000.0, 1875.0, 0.05, attacks, seed)))
 
 
+@functools.cache
+def _ten_day_series():
+    # CI's ten-day data: gen --days 10 --seed 1234 at the default rates.
+    return aggregate_all(iter_events(SynthProfile(10, seed=1234)))
+
+
+def _path_counts(series, lookback):
+    """How many of detect's windows over ``series`` take each path of the
+    scan, how many jump whole blocks, the blocks they jump and those whose
+    error is summed, counted through spies on the scan's module names."""
+    got = Counter()
+
+    def traced(text, pattern, tol, lo, hi):
+        starts, seen = _traced_scan(text, pattern, tol, lo, hi)
+        got[_path(seen, pattern, lo, hi)] += 1
+        got["jumping"] += bool(seen["jumps"])
+        got["blocks"] += seen["blocks"]
+        got["summed"] += seen["summed"]
+        return starts
+
+    with mock.patch.object(detector, "scan", traced):
+        for key in sorted(series):
+            detect_series(series[key], DetectorConfig(lookback=lookback))
+    return got
+
+
 class TestPathCounts:
     # How detect's windows go through the scan on the three-day benchmark
-    # data, counted through spies on the scan's module names: the windows
-    # matched exactly, those with no tail end, those that jump whole blocks,
-    # the blocks they jump and those under the rounded bound, the rest being
-    # summed one by one.  The digests pin the starts; these pin the paths,
-    # so that a change of the index's gate or of its data shows.
+    # data and on CI's ten-day data: the windows matched exactly, those with
+    # no tail end, those that jump whole blocks, the blocks they jump and
+    # those under the rounded bound, the rest being summed one by one.  The
+    # digests pin the starts; these pin the paths, so that a change of the
+    # index's gate or of its data shows.
     @pytest.mark.parametrize("seed, lookback, exact, certified, jumping, blocks, under", [
         (1234, 1440, 331, 304, 149, 3_900, 3_152),
         (1234, 7200, 331, 304, 149, 7_487, 6_173),
@@ -801,22 +849,21 @@ class TestPathCounts:
     ])
     def test_three_day_benchmark_windows(self, seed, lookback, exact, certified, jumping, blocks,
                                          under):
-        got = Counter()
-
-        def traced(text, pattern, tol, lo, hi):
-            starts, seen = _traced_scan(text, pattern, tol, lo, hi)
-            got[_path(seen, pattern, lo, hi)] += 1
-            got["jumping"] += bool(seen["jumps"])
-            got["blocks"] += seen["blocks"]
-            got["summed"] += seen["summed"]
-            return starts
-
-        series = _three_day_series(seed)
-        with mock.patch.object(detector, "scan", traced):
-            for key in sorted(series):
-                detect_series(series[key], DetectorConfig(lookback=lookback))
+        got = _path_counts(_three_day_series(seed), lookback)
         assert (got["exact"], got["no tail ends"], got["jumping"]) == (exact, certified, jumping)
         assert (got["blocks"], got["blocks"] - got["summed"]) == (blocks, under)
+
+    @pytest.mark.parametrize("lookback, certified, candidates, blocks", [
+        (1440, 1_126, 1_213, 16_179),
+        (7200, 923, 1_416, 66_119),
+    ])
+    def test_ten_day_windows(self, lookback, certified, candidates, blocks):
+        # No window takes the exact path, and every block jumped, all of A,
+        # is under the rounded bound.
+        got = _path_counts(_ten_day_series(), lookback)
+        assert (got["exact"], got["no tail ends"], got["candidates"]) == (0, certified, candidates)
+        assert (got["stepped"], got["pattern longer than the span"]) == (105, 5)
+        assert (got["jumping"], got["blocks"], got["summed"]) == (566, blocks, 0)
 
 
 class TestPrefixFunction:

@@ -132,10 +132,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "exact-path-only-below-the-gap",
+        "exact-path-only-below-1",
         "matching.py",
-        "alpha < text.gap",
-        "alpha <= text.gap",
+        "alpha < 1:",
+        "alpha <= 1:",
         (
             "tests/test_matching.py::TestScan::test_exact_path_skips_candidates_and_the_prefix_table",
             "tests/test_matching.py::TestScan::test_candidate_that_ends_the_span_is_stepped",
@@ -151,25 +151,22 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "gap-of-adjacent-levels",
-        "matching.py",
-        "map(sub, self.levels[1:], self.levels[:-1])",
-        "map(sub, self.levels[2:], self.levels[:-2])",
-        (
-            "tests/test_matching.py::TestScan::test_gap_is_the_smallest_difference_of_adjacent_levels",
-            "tests/test_matching.py::TestScan::test_exact_path_skips_candidates_and_the_prefix_table",
-        ),
-    ),
-    Mutant(
         "no-codes-for-levels-that-are-no-integers",
         "matching.py",
-        "if len(self.levels) > 256 or not all(float(v).is_integer() for v in self.levels):",
-        "if len(self.levels) > 256:",
+        "float(v) == v and float(v).is_integer() for v in self.levels",
+        "float(v) == v for v in self.levels",
         (
             "tests/test_matching.py::TestScan::test_infinite_levels_are_stepped",
             "tests/test_matching.py::TestScan::test_nan_in_the_text_is_stepped",
             "tests/test_matching.py::TestScan::test_levels_that_are_no_integers_are_stepped[0.5]",
         ),
+    ),
+    Mutant(
+        "no-codes-for-ints-that-no-float-equals",
+        "matching.py",
+        "float(v) == v and float(v).is_integer() for v in self.levels",
+        "float(v).is_integer() for v in self.levels",
+        ("tests/test_matching.py::TestScan::test_an_int_that_no_float_equals_is_stepped",),
     ),
     Mutant(
         "index-only-for-a-pattern-of-levels",
@@ -445,10 +442,21 @@ MUTANTS = [
     Mutant(
         "truth-rows-are-named-by-their-physical-line",
         "ingest.py",
-        "        for row in reader:\n            lineno = reader.line_num  # a quoted label may span lines\n",
+        "            lineno, after = after, reader.line_num + 1\n",
+        "            lineno = reader.line_num\n",
+        (
+            "tests/test_ingest.py::TestCountedRuns::test_bad_truth_names_its_line"
+            "[with-a-label-of-two-lines]",
+        ),
+    ),
+    Mutant(
+        "truth-rows-are-named-by-lines-not-rows",
+        "ingest.py",
+        "        for row in reader:\n            lineno, after = after, reader.line_num + 1\n",
         "        for lineno, row in enumerate(reader, start=2):\n",
         (
-            "tests/test_ingest.py::TestCountedRuns::test_bad_truth_names_its_line",
+            "tests/test_ingest.py::TestCountedRuns::test_bad_truth_names_its_line"
+            "[after-a-label-of-two-lines]",
         ),
     ),
     Mutant(
