@@ -6,7 +6,8 @@ and truth file, ``ingest`` turns events into per-series minute CSVs,
 ``eval`` scores a report against truth, ``sweep`` runs the full comparison
 grid, and ``expect`` prints the cold-start occurrence expectation.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
+Exit codes: 0 on success, 1 on usage errors, 2 on data errors, 130 on an
+interrupt.
 
 This module owns the arguments and paths only: it checks them, opens each
 file and names it in its reader's errors.  ``ingest`` owns the file formats.
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .baseline_ar import detect_series_ar
 from .coldstart import MODES, ColdStartParams, expected_matches
-from .detector import DetectorConfig, detect_series, score_aggregate
+from .detector import DetectorConfig, detect_each, detect_series, score_aggregate
 from .evalharness import METHODS, confusion, eval_text, sweep, sweep_rows_to_csv
 from .ingest import (
     ParseError,
@@ -219,10 +220,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, args.lookback)
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
+    keys = sorted(series)
     flags = {}
-    for key in sorted(series):
-        with _naming(Path(args.series_dir) / series_filename(key)):
-            flags[key] = detect(series[key], cfg)
+    for key, outcome in zip(keys, detect_each([series[key] for key in keys], detect, cfg)):
+        if isinstance(outcome, ValueError):
+            with _naming(Path(args.series_dir) / series_filename(key)):
+                raise outcome
+        flags[key] = outcome
     events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
         write_report(fh, events)
@@ -385,3 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"dnswatch: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # any worker detect forked is reaped by now
+        print("dnswatch: interrupted", file=sys.stderr)
+        return 130

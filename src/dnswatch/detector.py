@@ -20,17 +20,37 @@ rank index of the series (see :mod:`dnswatch.matching`) and scans each
 window's history in place; a window whose pattern is all zero is not
 scanned but answered from the series' zero runs, found by one regex over a
 zero mask of the series.
+
+:func:`detect_each` runs one detector over every series of a capture, as
+``detect`` and ``sweep`` do.  Series are detected on their own, so it runs one
+process per CPU in the affinity mask, up to one per series, with no flag:
+the parent forks the workers and works too, each process claims the next
+series from a shared queue, and each worker holds one series' detection
+state at a time.  The outcomes, and so every output byte, are those of one
+process.  A worker's pages do not count toward the parent's peak RSS
+(``RUSAGE_SELF``); they show under ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    Union,
+)
 
 # The loop calls scan, not search; search stays a name of this module because
 # the benchmark's tracer (perfbench/child.py) wraps detector.search by name.
@@ -317,6 +337,151 @@ def detect_series(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]
     """Run match-predict-compare over every evaluation window of a series."""
     windows = _plan_windows(series, cfg)
     return _decide(series, cfg, windows, _predict_asm(series.values, cfg, windows))
+
+
+Detect = Callable[[MinuteSeries, DetectorConfig], list[WindowFlag]]
+Outcome = Union[list[WindowFlag], ValueError]
+
+# A claim is the index of a block of series in this many bytes.  The parent
+# writes every claim before it forks, so all of them fit in a pipe of the
+# default 64 KiB: past 16,384 series, a block holds ceil(n / 16,384) series.
+_CLAIM_BYTES = 4
+_MAX_CLAIMS = 65536 // _CLAIM_BYTES
+
+
+def _outcome(detect: Detect, series: MinuteSeries, cfg: DetectorConfig) -> Outcome:
+    try:
+        return detect(series, cfg)
+    except ValueError as exc:
+        return exc
+
+
+def _detect_claimed(
+    claims: Iterable[int], series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig
+) -> dict[int, Outcome]:
+    """The outcome of each claimed series, up to the first error: every later
+    claim has a later index, past the error, and no caller reads those."""
+    done: dict[int, Outcome] = {}
+    for i in claims:
+        done[i] = _outcome(detect, series[i], cfg)
+        if isinstance(done[i], ValueError):
+            break
+    return done
+
+
+def _claims(queue: int, n: int, size: int, parent: Optional[int] = None) -> Iterator[int]:
+    """Indices of the ``n`` series claimed from ``queue``, a block of ``size``
+    at a time, until it is empty or, in a worker, until its ``parent`` has
+    gone."""
+    while parent is None or os.getppid() == parent:
+        claim = os.read(queue, _CLAIM_BYTES)
+        if len(claim) < _CLAIM_BYTES:
+            return
+        first = int.from_bytes(claim, "little") * size
+        yield from range(first, min(n, first + size))
+
+
+def _work(
+    queue: int,
+    size: int,
+    into: int,
+    parent: int,
+    series: Sequence[MinuteSeries],
+    detect: Detect,
+    cfg: DetectorConfig,
+) -> NoReturn:
+    """A forked worker: detect the series it claims, write their outcomes to
+    ``into`` pickled, and exit.  It never returns into its caller's frames, so
+    an error or an interrupt here ends it with status 1 and no output."""
+    try:
+        import pickle
+
+        done = _detect_claimed(_claims(queue, len(series), size, parent), series, detect, cfg)
+        data = memoryview(pickle.dumps(done))
+        while data:
+            data = data[os.write(into, data):]
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _detect_forked(
+    series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig, processes: int
+) -> dict[int, Outcome]:
+    """The outcomes that ``processes`` processes, this one and forked
+    workers, return from a shared queue of series: the parent's first, then
+    each worker's.  A worker that fails returns none."""
+    import pickle  # here, not at the top: only a forked run pays for it
+    import signal
+
+    n = len(series)
+    size = -(-n // _MAX_CLAIMS)
+    queue, feed = os.pipe()
+    try:
+        # Not blocking: the claims that a smaller pipe cannot hold are
+        # claimed by no one, and the parent detects those series after.
+        os.set_blocking(feed, False)
+        os.write(feed, b"".join(j.to_bytes(_CLAIM_BYTES, "little") for j in range(-(-n // size))))
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(feed)
+    parent = os.getpid()
+    workers: dict[int, int] = {}  # pid: the read end of its pipe
+    try:
+        for _ in range(processes - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others do its share
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                _work(queue, size, into, parent, series, detect, cfg)
+            workers[pid] = out
+            os.close(into)
+        done = _detect_claimed(_claims(queue, n, size), series, detect, cfg)
+        for pid, out in list(workers.items()):
+            chunks = []
+            while chunk := os.read(out, 1 << 16):
+                chunks.append(chunk)
+            os.close(workers.pop(pid))
+            if os.waitpid(pid, 0)[1] == 0:
+                done.update(pickle.loads(b"".join(chunks)))
+        return done
+    finally:
+        os.close(queue)
+        for pid, out in workers.items():  # left only by an error or an interrupt
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(out)
+
+
+def detect_each(
+    series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig
+) -> list[Outcome]:
+    """``detect`` on each series: its flags, or the ``ValueError`` it raised,
+    in input order, ending at the first series on which it raised.
+
+    With more than one CPU in this process's affinity mask, this process and
+    forked workers, one per CPU up to one per series, claim the series from a
+    shared queue; each worker holds one series' detection state at a time and
+    returns its outcomes pickled.  The parent detects every series before the
+    first error that no worker returned.  The outcomes are those of the
+    serial loop, bit for bit, whichever process ran each series.
+    """
+    n = len(series)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(n, cpus)
+    if processes > 1:
+        done = _detect_forked(series, detect, cfg, processes)
+    else:
+        done = _detect_claimed(range(n), series, detect, cfg)
+    # Each process stops at its first error, so series past the first error
+    # in input order may be missing; the caller stops there anyway.
+    end = min((i + 1 for i, r in done.items() if isinstance(r, ValueError)), default=n)
+    return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]
 
 
 @dataclass(frozen=True)

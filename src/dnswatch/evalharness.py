@@ -16,7 +16,14 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .baseline_ar import detect_series_ar
-from .detector import AnomalyEvent, DetectorConfig, WindowFlag, detect_series, score_aggregate
+from .detector import (
+    AnomalyEvent,
+    DetectorConfig,
+    WindowFlag,
+    detect_each,
+    detect_series,
+    score_aggregate,
+)
 from .ingest import GroundTruthInterval
 from .model import MinuteSeries, SeriesKey
 
@@ -122,13 +129,17 @@ def sweep(
     timeline = (any_series.start_minute, any_series.start_minute + len(any_series))
     days = max(1.0, (timeline[1] - timeline[0]) / 1440.0)
     rows: list[SweepRow] = []
+    keys = sorted(series_by_key)
+    ordered = [series_by_key[key] for key in keys]
     for method in methods:
         detect = detect_series if method == METHODS[0] else detect_series_ar
         for lookback in lookbacks:
             cfg = replace(base_cfg, lookback=lookback)
-            flags: dict[SeriesKey, list[WindowFlag]] = {
-                key: detect(series, cfg) for key, series in sorted(series_by_key.items())
-            }
+            flags: dict[SeriesKey, list[WindowFlag]] = {}
+            for key, outcome in zip(keys, detect_each(ordered, detect, cfg)):
+                if isinstance(outcome, ValueError):
+                    raise outcome
+                flags[key] = outcome
             for threshold in score_thresholds:
                 events = score_aggregate(flags, cfg.h, threshold)
                 counts = confusion(events, truth, timeline, cfg.stride)

@@ -196,6 +196,41 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "49" in out.stderr  # k + h + 1 for the default k = h = 24
 
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_an_interrupt_exits_130_once_every_worker_is_reaped(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        series_dir = tmp_path / "series"
+        series_dir.mkdir()
+        rows = "".join(f"{m},{m % 7}.0\n" for m in range(100))
+        for name in ("A.csv", "C_10.0.0.11.csv", "C_10.0.0.12.csv"):
+            (series_dir / name).write_text("minute,value\n" + rows)
+        events = tmp_path / "events.csv"
+        events.write_text("ts_epoch_s,src_ip,dst_ip,direction,malformed\n"
+                          + "".join(f"{60 * m},10.0.0.{11 + m % 2},10.0.1.53,tx,0\n" for m in range(100)))
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_minute,end_minute,label\n")
+
+        def interrupted(series, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "detect_series", interrupted)
+        monkeypatch.setattr(evalharness, "detect_series", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        out = tmp_path / "out"
+        argv = {
+            "detect": ["detect", "--series-dir", series_dir, "--report", out, "--lookback", "48"],
+            "sweep": ["sweep", "--events", events, "--truth", truth, "--out", out,
+                      "--methods", "asm", "--lookbacks-days", "0.04"],
+        }[command]
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert run_cli(argv) == 130
+        assert capsys.readouterr().err == "dnswatch: interrupted\n"
+        assert not out.exists()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("argv", [
         ["expect", "--bogus", "1"],
         # sweep takes these only as grids; a single value is not abbreviated
@@ -991,6 +1026,17 @@ class TestSeriesLoader:
         assert err == f"dnswatch: {series_dir / 'A.csv'}: series must have at least 49 minutes, got 1\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_first_series_too_short_in_key_order_is_named(self, tmp_path, capsys, monkeypatch, cpus):
+        # with three CPUs, three processes take the four series from one queue
+        for name in ("C_10.0.0.12.csv", "C_10.0.0.11.csv", "B_10.0.1.53.csv", "A.csv"):
+            series_dir = self._write(tmp_path, "minute,value\n0,1.0\n", name)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert run_cli(["detect", "--series-dir", series_dir,
+                        "--report", tmp_path / "r.json", "--lookback", "48"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dnswatch: {series_dir / 'A.csv'}: series must have at least 49 minutes, got 1\n"
+
     @pytest.mark.parametrize("text, message", [
         ("minute,count\n0,1.0\n", "bad series header 'minute,count'"),
         ("minute,value\n\n \n", "empty series"),
@@ -1119,6 +1165,13 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == [[], []]
+
+    def test_the_cli_loads_pickle_only_where_it_forks(self):
+        # only a forked worker's outcomes are pickled, and the import costs
+        # about 3 ms of every command
+        out = self._fresh("import sys, dnswatch.cli; print('pickle' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
 
     def test_numpy_loads_only_for_the_commands_that_compute_with_it(self, tmp_path):
         events = tmp_path / "events.csv"

@@ -1,5 +1,8 @@
+import fcntl
 import math
+import os
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnswatch import detector, matching
+from dnswatch.baseline_ar import detect_series_ar
 from dnswatch.detector import (
     COLD_START,
     DetectorConfig,
@@ -16,6 +20,7 @@ from dnswatch.detector import (
     cold_start_decision,
     compute_thresholds,
     cosine,
+    detect_each,
     detect_series,
     mse,
     predict,
@@ -440,6 +445,172 @@ class TestRankIndexOwner:
         index, tails = self._run(58)
         assert tails.call_count == 0
         assert "codes" not in vars(index) and "levels" not in vars(index)
+
+
+def _outcomes_hex(outcomes):
+    """Each outcome's flags with their floats in hex, or its error's type and message."""
+    return [
+        (type(o).__name__, str(o)) if isinstance(o, ValueError)
+        else [(f.window_start, f.flagged, f.mse is not None and f.mse.hex(),
+               f.cosine is not None and f.cosine.hex(), f.cold_start) for f in o]
+        for o in outcomes
+    ]
+
+
+def _paced(detect, seconds, parent_only=False):
+    """``detect`` after a pause, so that the processes take turns at the queue."""
+    parent = os.getpid()
+
+    def paced(series, cfg):
+        if not parent_only or os.getpid() == parent:
+            time.sleep(seconds)
+        return detect(series, cfg)
+
+    return paced
+
+
+def _late_workers(monkeypatch, seconds=0.05):
+    """Make each forked worker wait before its first claim, so that the
+    parent claims the first series."""
+    fork = os.fork
+
+    def late_fork():
+        pid = fork()
+        if pid == 0:
+            time.sleep(seconds)
+        return pid
+
+    monkeypatch.setattr(os, "fork", late_fork)
+
+
+_EACH_CFG = DetectorConfig(k=8, lookback=96)
+
+
+def _each_series(count):
+    # a daily shape, noise and rare spikes: the series differ, so each index
+    # has outcomes of its own, and both matched and cold-start windows flag
+    rng = random.Random(count)
+    return [
+        _series(float(5 * i + t % 12 + rng.randrange(3) + 40 * (rng.random() < 0.02)) for t in range(300))
+        for i in range(count)
+    ]
+
+
+class TestDetectEach:
+    @pytest.fixture(autouse=True)
+    def _no_process_or_fd_left(self):
+        fds = sorted(os.listdir("/proc/self/fd"))
+        yield
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @pytest.mark.parametrize("detect", [detect_series, detect_series_ar])
+    @pytest.mark.parametrize("cpus, count", [
+        (1, 7), (2, 1), (3, 1), (3, 2), (2, 7), (3, 7),
+    ], ids=["one-cpu", "one-series-of-two-cpus", "one-series-of-three-cpus",
+            "fewer-series-than-cpus", "more-series-than-two-cpus", "more-series-than-three-cpus"])
+    def test_outcomes_are_those_of_the_serial_loop(self, monkeypatch, detect, cpus, count):
+        series = _each_series(count)
+        want = [detect(s, _EACH_CFG) for s in series]
+        self._cpus(monkeypatch, cpus)
+        got = detect_each(series, _paced(detect, 0.01), _EACH_CFG)
+        assert _outcomes_hex(got) == _outcomes_hex(want)
+
+    def test_the_first_error_in_input_order_ends_the_outcomes(self, monkeypatch):
+        # The parent claims the first series and detects it slowly; the
+        # worker comes late, claims the first short series and stops there;
+        # then the parent claims the second short one.  So the parent's
+        # error arrives first, and the worker's is first in input order.
+        series = [_each_series(1)[0], _series([1.0] * 9), _series([1.0] * 10)]
+        self._cpus(monkeypatch, 2)
+        _late_workers(monkeypatch)
+        got = detect_each(series, _paced(detect_series, 0.1, parent_only=True), _EACH_CFG)
+        assert _outcomes_hex(got) == _outcomes_hex(
+            [detect_series(series[0], _EACH_CFG), ValueError("series must have at least 17 minutes, got 9")]
+        )
+
+    def test_a_series_whose_worker_left_is_detected_by_the_parent(self, monkeypatch):
+        series = _each_series(7)
+        parent = os.getpid()
+
+        def leaving(s, cfg):
+            if os.getpid() != parent:
+                os._exit(3)  # on the first series a worker claims
+            return detect_series(s, cfg)
+
+        self._cpus(monkeypatch, 3)
+        got = detect_each(series, _paced(leaving, 0.01), _EACH_CFG)
+        assert _outcomes_hex(got) == _outcomes_hex([detect_series(s, _EACH_CFG) for s in series])
+
+    @pytest.mark.parametrize("small_pipes", [False, True], ids=["64-KiB-pipes", "4-KiB-pipes"])
+    def test_more_series_than_claims_are_claimed_in_blocks(self, monkeypatch, small_pipes):
+        # 16,385 series make blocks of two; a pipe of 4 KiB holds 1,024 of
+        # their claims, and the parent detects the series of the rest
+        series = [_series([float(i)]) for i in range(detector._MAX_CLAIMS + 1)]
+
+        def first_minute(s, cfg):
+            return [WindowFlag(s.start_minute, bool(s.values[0] % 2), s.values[0], None, True)]
+
+        if small_pipes:
+            pipe = os.pipe
+
+            def small_pipe():
+                fds = pipe()
+                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)
+                return fds
+
+            monkeypatch.setattr(os, "pipe", small_pipe)
+        self._cpus(monkeypatch, 2)
+        got = detect_each(series, first_minute, _EACH_CFG)
+        assert got == [first_minute(s, _EACH_CFG) for s in series]
+
+    def test_a_worker_whose_parent_has_gone_claims_nothing(self):
+        queue, feed = os.pipe()
+        try:
+            os.write(feed, b"".join(j.to_bytes(4, "little") for j in range(3)))
+            os.close(feed)
+            assert list(detector._claims(queue, 5, 2, parent=os.getppid() + 1)) == []
+            assert list(detector._claims(queue, 5, 2, parent=os.getppid())) == [0, 1, 2, 3, 4]
+        finally:
+            os.close(queue)
+
+    def test_the_parent_forks_with_one_thread(self, monkeypatch):
+        # Python 3.12 warns about a fork while other threads run: numpy's
+        # BLAS threads stop at a fork, and dnswatch starts none
+        def threads():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+        fork = os.fork
+        counts = []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                counts.append(threads())
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        self._cpus(monkeypatch, 3)
+        series = _each_series(3)
+        want = [detect_series_ar(s, _EACH_CFG) for s in series]  # BLAS has started
+        assert _outcomes_hex(detect_each(series, detect_series_ar, _EACH_CFG)) == _outcomes_hex(want)
+        assert counts == [1, 1]
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", fork)
+        self._cpus(monkeypatch, 1)
+        series = _each_series(3)
+        got = detect_each(series, detect_series, _EACH_CFG)
+        assert _outcomes_hex(got) == _outcomes_hex([detect_series(s, _EACH_CFG) for s in series])
 
 
 class TestDetectorConfig:

@@ -47,6 +47,7 @@ _AGGREGATE_ORACLE = (
 )
 _ALL_ZERO_ORACLE = "tests/test_detector.py::TestAllZeroPatterns::test_fast_path_matches_search_and_predict"
 _COLD_START = "tests/test_detector.py::TestColdStartDecision::"
+_DETECT_EACH = "tests/test_detector.py::TestDetectEach::"
 _SILENT_AR = (
     "tests/test_baseline_ar.py::TestSilentHistories::"
     "test_negative_zero_minutes_flag_and_score_as_window_local"
@@ -320,6 +321,28 @@ MUTANTS = [
         (
             "tests/test_detector.py::TestPlanOracle::test_thresholds_follow_the_minutes_before_each_window",
         ),
+    ),
+    # detector: detect_each
+    Mutant(
+        "outcomes-merged-in-index-order",
+        "detector.py",
+        "return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]",
+        "return [*done.values(), *(_outcome(detect, series[i], cfg) for i in range(end) if i not in done)][:end]",
+        (_DETECT_EACH + "test_outcomes_are_those_of_the_serial_loop",),
+    ),
+    Mutant(
+        "series-no-worker-returned-are-detected-by-the-parent",
+        "detector.py",
+        "return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]",
+        "return [done[i] for i in range(end) if i in done]",
+        (_DETECT_EACH + "test_a_series_whose_worker_left_is_detected_by_the_parent",),
+    ),
+    Mutant(
+        "the-first-error-in-input-order-ends-the-outcomes",
+        "detector.py",
+        "end = min((i + 1 for i, r in done.items() if isinstance(r, ValueError)), default=n)",
+        "end = next((i + 1 for i, r in done.items() if isinstance(r, ValueError)), n)",
+        (_DETECT_EACH + "test_the_first_error_in_input_order_ends_the_outcomes",),
     ),
     # baseline_ar
     Mutant(
