@@ -221,12 +221,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     series = _load_series_dir(args.series_dir)
     detect = detect_series if args.method == METHODS[0] else detect_series_ar
     keys = sorted(series)
-    flags = {}
-    for key, outcome in zip(keys, detect_each([series[key] for key in keys], detect, cfg)):
-        if isinstance(outcome, ValueError):
-            with _naming(Path(args.series_dir) / series_filename(key)):
-                raise outcome
-        flags[key] = outcome
+    # Every series shares one span, and a span too short for a window is the
+    # one data error detection raises, so the first series names it.
+    with _naming(Path(args.series_dir) / series_filename(keys[0])):
+        flags = dict(zip(keys, detect_each([series[key] for key in keys], detect, cfg)))
     events = score_aggregate(flags, cfg.h, args.score_threshold)
     with open(args.report, "w") as fh:
         write_report(fh, events)

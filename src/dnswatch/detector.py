@@ -26,8 +26,10 @@ zero mask of the series.
 process per CPU in the affinity mask, up to one per series, with no flag:
 the parent forks the workers and works too, each process claims the next
 series from a shared queue, and each worker holds one series' detection
-state at a time.  The outcomes, and so every output byte, are those of one
-process.  A worker's pages do not count toward the parent's peak RSS
+state at a time.  The flags, and so every output byte, are those of one
+process.  A worker that raises returns nothing, and the parent detects what
+no worker returned, so an error that detection raises is raised in the
+parent.  A worker's pages do not count toward the parent's peak RSS
 (``RUSAGE_SELF``); they show under ``RUSAGE_CHILDREN``.
 """
 
@@ -46,10 +48,8 @@ from typing import (
     Iterator,
     Mapping,
     NamedTuple,
-    NoReturn,
     Optional,
     Sequence,
-    Union,
 )
 
 # The loop calls scan, not search; search stays a name of this module because
@@ -340,33 +340,12 @@ def detect_series(series: MinuteSeries, cfg: DetectorConfig) -> list[WindowFlag]
 
 
 Detect = Callable[[MinuteSeries, DetectorConfig], list[WindowFlag]]
-Outcome = Union[list[WindowFlag], ValueError]
 
 # A claim is the index of a block of series in this many bytes.  The parent
 # writes every claim before it forks, so all of them fit in a pipe of the
 # default 64 KiB: past 16,384 series, a block holds ceil(n / 16,384) series.
 _CLAIM_BYTES = 4
 _MAX_CLAIMS = 65536 // _CLAIM_BYTES
-
-
-def _outcome(detect: Detect, series: MinuteSeries, cfg: DetectorConfig) -> Outcome:
-    try:
-        return detect(series, cfg)
-    except ValueError as exc:
-        return exc
-
-
-def _detect_claimed(
-    claims: Iterable[int], series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig
-) -> dict[int, Outcome]:
-    """The outcome of each claimed series, up to the first error: every later
-    claim has a later index, past the error, and no caller reads those."""
-    done: dict[int, Outcome] = {}
-    for i in claims:
-        done[i] = _outcome(detect, series[i], cfg)
-        if isinstance(done[i], ValueError):
-            break
-    return done
 
 
 def _claims(queue: int, n: int, size: int, parent: Optional[int] = None) -> Iterator[int]:
@@ -381,36 +360,12 @@ def _claims(queue: int, n: int, size: int, parent: Optional[int] = None) -> Iter
         yield from range(first, min(n, first + size))
 
 
-def _work(
-    queue: int,
-    size: int,
-    into: int,
-    parent: int,
-    series: Sequence[MinuteSeries],
-    detect: Detect,
-    cfg: DetectorConfig,
-) -> NoReturn:
-    """A forked worker: detect the series it claims, write their outcomes to
-    ``into`` pickled, and exit.  It never returns into its caller's frames, so
-    an error or an interrupt here ends it with status 1 and no output."""
-    try:
-        import pickle
-
-        done = _detect_claimed(_claims(queue, len(series), size, parent), series, detect, cfg)
-        data = memoryview(pickle.dumps(done))
-        while data:
-            data = data[os.write(into, data):]
-        os._exit(0)
-    finally:
-        os._exit(1)
-
-
 def _detect_forked(
     series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig, processes: int
-) -> dict[int, Outcome]:
-    """The outcomes that ``processes`` processes, this one and forked
-    workers, return from a shared queue of series: the parent's first, then
-    each worker's.  A worker that fails returns none."""
+) -> dict[int, list[WindowFlag]]:
+    """The flags that ``processes`` processes, this one and forked workers,
+    detect from a shared queue of series: the parent's first, then each
+    worker's.  A worker that fails returns none."""
     import pickle  # here, not at the top: only a forked run pays for it
     import signal
 
@@ -438,10 +393,19 @@ def _detect_forked(
                 os.close(into)
                 break
             if pid == 0:
-                _work(queue, size, into, parent, series, detect, cfg)
+                # The worker never returns into its caller's frames, so an
+                # error or an interrupt here ends it with status 1 and no output.
+                try:
+                    done = {i: detect(series[i], cfg) for i in _claims(queue, n, size, parent)}
+                    data = memoryview(pickle.dumps(done))
+                    while data:
+                        data = data[os.write(into, data):]
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             workers[pid] = out
             os.close(into)
-        done = _detect_claimed(_claims(queue, n, size), series, detect, cfg)
+        done = {i: detect(series[i], cfg) for i in _claims(queue, n, size)}
         for pid, out in list(workers.items()):
             chunks = []
             while chunk := os.read(out, 1 << 16):
@@ -460,28 +424,23 @@ def _detect_forked(
 
 def detect_each(
     series: Sequence[MinuteSeries], detect: Detect, cfg: DetectorConfig
-) -> list[Outcome]:
-    """``detect`` on each series: its flags, or the ``ValueError`` it raised,
-    in input order, ending at the first series on which it raised.
+) -> list[list[WindowFlag]]:
+    """``detect`` on each series: their flags, in input order.  An error that
+    ``detect`` raises propagates.
 
     With more than one CPU in this process's affinity mask, this process and
     forked workers, one per CPU up to one per series, claim the series from a
     shared queue; each worker holds one series' detection state at a time and
-    returns its outcomes pickled.  The parent detects every series before the
-    first error that no worker returned.  The outcomes are those of the
-    serial loop, bit for bit, whichever process ran each series.
+    returns its flags pickled.  The parent detects every series that no
+    worker returned, so an error is raised here once every worker is reaped.
+    The flags are those of the serial loop, bit for bit, whichever process
+    ran each series.
     """
     n = len(series)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(n, cpus)
-    if processes > 1:
-        done = _detect_forked(series, detect, cfg, processes)
-    else:
-        done = _detect_claimed(range(n), series, detect, cfg)
-    # Each process stops at its first error, so series past the first error
-    # in input order may be missing; the caller stops there anyway.
-    end = min((i + 1 for i, r in done.items() if isinstance(r, ValueError)), default=n)
-    return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]
+    done = _detect_forked(series, detect, cfg, processes) if processes > 1 else {}
+    return [done[i] if i in done else detect(series[i], cfg) for i in range(n)]
 
 
 @dataclass(frozen=True)

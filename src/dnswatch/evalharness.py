@@ -19,7 +19,6 @@ from .baseline_ar import detect_series_ar
 from .detector import (
     AnomalyEvent,
     DetectorConfig,
-    WindowFlag,
     detect_each,
     detect_series,
     score_aggregate,
@@ -135,11 +134,7 @@ def sweep(
         detect = detect_series if method == METHODS[0] else detect_series_ar
         for lookback in lookbacks:
             cfg = replace(base_cfg, lookback=lookback)
-            flags: dict[SeriesKey, list[WindowFlag]] = {}
-            for key, outcome in zip(keys, detect_each(ordered, detect, cfg)):
-                if isinstance(outcome, ValueError):
-                    raise outcome
-                flags[key] = outcome
+            flags = dict(zip(keys, detect_each(ordered, detect, cfg)))
             for threshold in score_thresholds:
                 events = score_aggregate(flags, cfg.h, threshold)
                 counts = confusion(events, truth, timeline, cfg.stride)

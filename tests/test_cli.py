@@ -1167,7 +1167,7 @@ class TestImports:
         assert json.loads(out.stdout) == [[], []]
 
     def test_the_cli_loads_pickle_only_where_it_forks(self):
-        # only a forked worker's outcomes are pickled, and the import costs
+        # only a forked worker's flags are pickled, and the import costs
         # about 3 ms of every command
         out = self._fresh("import sys, dnswatch.cli; print('pickle' in sys.modules)")
         assert out.returncode == 0, out.stderr

@@ -326,23 +326,23 @@ MUTANTS = [
     Mutant(
         "outcomes-merged-in-index-order",
         "detector.py",
-        "return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]",
-        "return [*done.values(), *(_outcome(detect, series[i], cfg) for i in range(end) if i not in done)][:end]",
+        "return [done[i] if i in done else detect(series[i], cfg) for i in range(n)]",
+        "return [*done.values(), *(detect(series[i], cfg) for i in range(n) if i not in done)]",
         (_DETECT_EACH + "test_outcomes_are_those_of_the_serial_loop",),
     ),
     Mutant(
         "series-no-worker-returned-are-detected-by-the-parent",
         "detector.py",
-        "return [done[i] if i in done else _outcome(detect, series[i], cfg) for i in range(end)]",
-        "return [done[i] for i in range(end) if i in done]",
+        "return [done[i] if i in done else detect(series[i], cfg) for i in range(n)]",
+        "return [done[i] for i in range(n) if i in done]",
         (_DETECT_EACH + "test_a_series_whose_worker_left_is_detected_by_the_parent",),
     ),
     Mutant(
-        "the-first-error-in-input-order-ends-the-outcomes",
-        "detector.py",
-        "end = min((i + 1 for i, r in done.items() if isinstance(r, ValueError)), default=n)",
-        "end = next((i + 1 for i, r in done.items() if isinstance(r, ValueError)), n)",
-        (_DETECT_EACH + "test_the_first_error_in_input_order_ends_the_outcomes",),
+        "a-short-capture-is-named-by-its-first-series",
+        "cli.py",
+        "series_filename(keys[0])",
+        "series_filename(keys[-1])",
+        ("tests/test_cli.py::TestSeriesLoader::test_the_first_series_too_short_in_key_order_is_named",),
     ),
     # baseline_ar
     Mutant(
